@@ -11,7 +11,9 @@
 //     branch-and-bound in internal/milp.
 //   - Exhaustive: enumerate all |V|! placements and score each with the
 //     balanced all-minimal-paths evaluator; exact for the uniform-split
-//     routing model and fast up to 8-node cubes.
+//     routing model and fast up to 8-node cubes. Placements are scored by
+//     replaying a per-cube routing.PairTable, bit-identical to routing
+//     every flow, and abandoned once a channel reaches the best MCL so far.
 //   - Anneal: seeded simulated annealing over placements, for cubes too
 //     large to enumerate.
 //
@@ -35,12 +37,15 @@ import (
 	"rahtm/internal/topology"
 )
 
-// Annealing acceptance counters on the process-wide registry. The hot loop
-// accumulates plain locals and flushes once per solve.
+// Annealing and enumeration work counters on the process-wide registry.
+// The hot loops accumulate plain locals and flush once per solve.
 var (
 	ctrAnnealMoves    = telemetry.Default.Counter(telemetry.CtrAnnealMoves)
 	ctrAnnealAccepted = telemetry.Default.Counter(telemetry.CtrAnnealAccepted)
 	ctrAnnealRestarts = telemetry.Default.Counter(telemetry.CtrAnnealRestarts)
+
+	ctrExhaustivePlacements = telemetry.Default.Counter(telemetry.CtrExhaustivePlacements)
+	ctrExhaustivePruned     = telemetry.Default.Counter(telemetry.CtrExhaustivePruned)
 )
 
 // Method selects the subproblem solver.
@@ -186,9 +191,14 @@ func EvaluateWith(g *graph.Comm, shape []int, torus bool, m topology.Mapping, al
 	return routing.MaxChannelLoad(cubeTopology(shape, torus), g, m, alg)
 }
 
-// solveExhaustive tries every placement. Feasible for cubes up to 8 nodes
-// (8! = 40320 placements). Cancellation is polled every 1024 evaluations;
-// deadline expiry returns the best placement seen so far as degraded.
+// solveExhaustive tries every placement in Heap's order and keeps the
+// first one with the smallest MCL. Feasible for cubes up to 8 nodes (8! =
+// 40320 placements). A placement is scored by replaying the cube's pair
+// deposit table, which reproduces routing.MaxChannelLoad bit for bit, and
+// abandoned as soon as any channel reaches the best MCL so far: volumes are
+// positive, so loads only grow and that placement could never be accepted
+// (DESIGN.md §15). Cancellation is polled every 1024 evaluations; deadline
+// expiry returns the best placement seen so far as degraded.
 func solveExhaustive(ctx context.Context, g *graph.Comm, cube *topology.Torus) (*Result, error) {
 	n := cube.N()
 	if n > 10 {
@@ -200,15 +210,30 @@ func solveExhaustive(ctx context.Context, g *graph.Comm, cube *topology.Torus) (
 	}
 	best := append(topology.Mapping(nil), perm...)
 	bestMCL := math.Inf(1)
-	alg := routing.MinimalAdaptive{}.WithScope(telemetry.ScopeFrom(ctx))
+	scope := telemetry.ScopeFrom(ctx)
+	table := routing.MinimalAdaptive{}.WithScope(scope).PairTable(cube)
+	flows := g.Flows()
+	loads := make([]float64, cube.NumChannels())
+	var placements, pruned int64
+	defer func() {
+		scope.CounterOr(telemetry.CtrExhaustivePlacements, ctrExhaustivePlacements).Add(placements)
+		scope.CounterOr(telemetry.CtrExhaustivePruned, ctrExhaustivePruned).Add(pruned)
+	}()
 	// Heap's algorithm over placements.
 	c := make([]int, n)
 	evals := 0
 	degraded := false
 	var ctxErr error
 	evalCur := func() {
-		mcl := routing.MaxChannelLoad(cube, g, perm, alg)
-		if mcl < bestMCL {
+		placements++
+		clear(loads)
+		for _, f := range flows {
+			if !table.Replay(perm[f.Src], perm[f.Dst], f.Vol, loads, bestMCL) {
+				pruned++
+				return
+			}
+		}
+		if mcl := routing.MCL(loads); mcl < bestMCL {
 			bestMCL = mcl
 			copy(best, perm)
 		}

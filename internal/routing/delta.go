@@ -170,13 +170,7 @@ func (a MinimalAdaptive) AddLoadsDelta(t *topology.Torus, src, dst int, vol floa
 	numCombos := prepareDirs(t, cs, cd, sc)
 	comboVol := vol / float64(numCombos)
 	for mask := 0; mask < numCombos; mask++ {
-		for b, d := range sc.ties {
-			if mask&(1<<uint(b)) == 0 {
-				sc.dirs[d] = topology.Plus
-			} else {
-				sc.dirs[d] = topology.Minus
-			}
-		}
+		sc.setCombo(mask)
 		a.routeBoxDelta(t, cs, sc.dirs, sc.dists, comboVol, dv, sc)
 	}
 	sc.flushStencil(a)

@@ -82,13 +82,7 @@ func (a MinimalAdaptive) AddLoads(t *topology.Torus, src, dst int, vol float64, 
 	numCombos := prepareDirs(t, cs, cd, sc)
 	comboVol := vol / float64(numCombos)
 	for mask := 0; mask < numCombos; mask++ {
-		for b, d := range sc.ties {
-			if mask&(1<<uint(b)) == 0 {
-				sc.dirs[d] = topology.Plus
-			} else {
-				sc.dirs[d] = topology.Minus
-			}
-		}
+		sc.setCombo(mask)
 		a.routeBox(t, cs, sc.dirs, sc.dists, comboVol, loads, sc)
 	}
 	sc.flushStencil(a)
@@ -134,6 +128,18 @@ func prepareDirs(t *topology.Torus, cs, cd []int, sc *scratch) int {
 		}
 	}
 	return numCombos
+}
+
+// setCombo points sc.dirs at direction combination mask of the tied
+// dimensions prepareDirs recorded: bit b of mask sends tie b Minus.
+func (sc *scratch) setCombo(mask int) {
+	for b, d := range sc.ties {
+		if mask&(1<<uint(b)) == 0 {
+			sc.dirs[d] = topology.Plus
+		} else {
+			sc.dirs[d] = topology.Minus
+		}
+	}
 }
 
 // routeBox deposits one direction-combination's loads, through the stencil

@@ -270,6 +270,30 @@ func (s *stencil) apply(t *topology.Torus, cs, dirs []int, vol float64, loads []
 	}
 }
 
+// appendDeposits is apply recording instead of depositing: for the same
+// flow it appends the channel ids apply would add to, in apply's order,
+// with the unit fractions apply would scale by the flow's volume.
+func (s *stencil) appendDeposits(t *topology.Torus, cs, dirs []int, chs []int32, fracs []float64, sc *scratch) ([]int32, []float64) {
+	nd := s.nd
+	tab := sc.ints(s.tabLen)
+	s.fillChanTab(t, cs, dirs, tab)
+	ei := 0
+	for c := 0; c < s.cells; c++ {
+		base := c * nd
+		nodeCh := 0
+		for d := 0; d < nd; d++ {
+			nodeCh += tab[s.offs[base+d]]
+		}
+		for n := s.cnt[c]; n > 0; n-- {
+			d := int(s.dims[ei])
+			chs = append(chs, int32(nodeCh+2*d+dirs[d]))
+			fracs = append(fracs, s.fracs[ei])
+			ei++
+		}
+	}
+	return chs, fracs
+}
+
 // scratch holds the per-call working storage of MinimalAdaptive.AddLoads,
 // recycled through a pool so the hot evaluators (merge scorers, annealing
 // swaps) do not allocate per flow.

@@ -47,10 +47,12 @@ const (
 	CtrMILPSolves = "milp.solves"
 	CtrMILPNodes  = "milp.nodes"
 
-	// hiermap: simulated annealing acceptance.
-	CtrAnnealMoves    = "anneal.moves"
-	CtrAnnealAccepted = "anneal.accepted"
-	CtrAnnealRestarts = "anneal.restarts"
+	// hiermap: simulated annealing acceptance and exhaustive enumeration.
+	CtrAnnealMoves          = "anneal.moves"
+	CtrAnnealAccepted       = "anneal.accepted"
+	CtrAnnealRestarts       = "anneal.restarts"
+	CtrExhaustivePlacements = "hiermap.exhaustive.placements" // placements scored
+	CtrExhaustivePruned     = "hiermap.exhaustive.pruned"     // placements abandoned at the running-max bound
 
 	// merge: Phase 3 beam search.
 	CtrBeamCandidates = "merge.beam.candidates"

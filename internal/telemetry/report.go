@@ -98,6 +98,11 @@ func WriteReport(w io.Writer, workers int, phases []PhaseTime, snap Snapshot) er
 		line("anneal\t%d moves, %d accepted (%s), %d restarts",
 			moves, acc, pct(Rate(acc, moves-acc)), snap.Counter(CtrAnnealRestarts))
 	}
+	if placements := snap.Counter(CtrExhaustivePlacements); placements > 0 {
+		pruned := snap.Counter(CtrExhaustivePruned)
+		line("exhaustive\t%d placements scored, %d pruned by the bound (%s)",
+			placements, pruned, pct(Rate(pruned, placements-pruned)))
+	}
 	if cand := snap.Counter(CtrBeamCandidates); cand > 0 {
 		kept := snap.Counter(CtrBeamKept)
 		line("beam\t%d candidates generated, %d kept (%s pruned), %d symmetry evals",

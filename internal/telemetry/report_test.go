@@ -19,6 +19,8 @@ func TestWriteReportTable(t *testing.T) {
 	reg.Counter(CtrAnnealAccepted).Add(250)
 	reg.Counter(CtrBeamCandidates).Add(640)
 	reg.Counter(CtrBeamKept).Add(64)
+	reg.Counter(CtrExhaustivePlacements).Add(40320)
+	reg.Counter(CtrExhaustivePruned).Add(40000)
 	phases := []PhaseTime{
 		{Name: "cluster", Wall: 10 * time.Millisecond},
 		{Name: "map", Wall: 100 * time.Millisecond, Work: 350 * time.Millisecond, Jobs: 12},
@@ -39,6 +41,7 @@ func TestWriteReportTable(t *testing.T) {
 		"pivots/sec",
 		"250 accepted (25.0%)",
 		"640 candidates generated, 64 kept (90.0% pruned)",
+		"40320 placements scored, 40000 pruned by the bound (99.2%)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)

@@ -279,3 +279,32 @@ func TestSolveWithScope(t *testing.T) {
 		}
 	}
 }
+
+// TestExhaustiveCountersParallelismInvariant solves NAS BT at 256
+// processes with one and two workers: the exhaustive Phase 2 solver's
+// placement and prune counts are exact work counters, so both runs must
+// report the same nonzero values.
+func TestExhaustiveCountersParallelismInvariant(t *testing.T) {
+	var want map[string]int64
+	for _, par := range []int{1, 2} {
+		req := Request{Workload: "BT", Procs: 256, Topo: []int{4, 4, 4}, Conc: 4, Parallelism: par}
+		res, err := Solve(WithScope(context.Background(), NewScope("")), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int64{
+			"hiermap.exhaustive.placements": res.Metrics["hiermap.exhaustive.placements"],
+			"hiermap.exhaustive.pruned":     res.Metrics["hiermap.exhaustive.pruned"],
+		}
+		for name, v := range got {
+			if v <= 0 {
+				t.Fatalf("parallelism %d: %s = %d", par, name, v)
+			}
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Fatalf("parallelism %d counters %v, parallelism 1 %v", par, got, want)
+		}
+	}
+}
