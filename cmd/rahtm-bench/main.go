@@ -294,8 +294,8 @@ type pipelineJSON struct {
 	BeamCandidates int64 `json:"beam_candidates"`
 	BeamPruned     int64 `json:"beam_pruned"`
 	SymmetryEvals  int64 `json:"symmetry_evals"`
-	DeltaHits      int64 `json:"delta_hits"`      // merge combos scored sparsely
-	DeltaFallbacks int64 `json:"delta_fallbacks"` // merge combos scored densely
+	DeltaHits      int64 `json:"delta_hits"`     // merge combos scored in full
+	BeamAbandoned  int64 `json:"beam_abandoned"` // merge combos abandoned at the beam cutoff
 }
 
 // addMetrics fills the counter-delta columns from a per-run snapshot
@@ -310,7 +310,7 @@ func (p *pipelineJSON) addMetrics(d rahtm.MetricsSnapshot) {
 	p.BeamPruned = d.Counter("merge.beam.candidates") - d.Counter("merge.beam.kept")
 	p.SymmetryEvals = d.Counter("merge.symmetry.evals")
 	p.DeltaHits = d.Counter("merge.delta.hits")
-	p.DeltaFallbacks = d.Counter("merge.delta.fallbacks")
+	p.BeamAbandoned = d.Counter("merge.beam.abandoned")
 }
 
 func pipelineRow(w *rahtm.Workload, res *rahtm.PipelineResult, err error) pipelineJSON {
@@ -418,7 +418,7 @@ var scaleLadder = []struct {
 // effort to each rung individually.
 func scaleTrajectory(ctx context.Context, m rahtm.Mapper, maxProcs int) []scaleJSON {
 	fmt.Println("pipeline scaling trajectory (halo-2d)")
-	fmt.Printf("%-7s %-12s %6s %12s %12s %10s %12s %10s\n", "procs", "topology", "conc", "merge", "wall", "mcl", "delta-evals", "peak-rss")
+	fmt.Printf("%-7s %-12s %6s %12s %12s %10s %12s %12s %10s\n", "procs", "topology", "conc", "merge", "wall", "mcl", "candidates", "abandoned", "peak-rss")
 	var out []scaleJSON
 	for _, lvl := range scaleLadder {
 		if lvl.procs > maxProcs {
@@ -447,10 +447,10 @@ func scaleTrajectory(ctx context.Context, m rahtm.Mapper, maxProcs int) []scaleJ
 			fmt.Printf("%-7d %-12s %6d  error: %v\n", lvl.procs, lvl.topo, lvl.conc, err)
 			continue
 		}
-		fmt.Printf("%-7d %-12s %6d %12v %12v %10.3f %12d %8.0fMB\n",
+		fmt.Printf("%-7d %-12s %6d %12v %12v %10.3f %12d %12d %8.0fMB\n",
 			lvl.procs, lvl.topo, lvl.conc,
 			res.Stats.MergeTime.Round(time.Millisecond), wall.Round(time.Millisecond),
-			res.MCL, row.DeltaHits+row.DeltaFallbacks, row.PeakRSSMB)
+			res.MCL, row.BeamCandidates, row.BeamAbandoned, row.PeakRSSMB)
 	}
 	return out
 }

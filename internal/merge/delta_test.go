@@ -1,11 +1,14 @@
 package merge
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"rahtm/internal/graph"
+	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
 )
 
@@ -14,7 +17,7 @@ import (
 // candidates (not just one) and the byte-identity test exercises the
 // ChildCandidates dimension. Construction is deterministic, so both arms of
 // the comparison see identical children.
-func deltaChildren(t *testing.T, g *graph.Comm, nchild, tpc int, childShape []int) []*Block {
+func deltaChildren(t testing.TB, g *graph.Comm, nchild, tpc int, childShape []int) []*Block {
 	t.Helper()
 	ones := make([]int, len(childShape))
 	for d := range ones {
@@ -67,23 +70,27 @@ func wantSameBlock(t *testing.T, want, got *Block, label string) {
 	}
 }
 
-// TestMergeDeltaByteIdentical pins the incremental-MCL contract the package
-// comment promises: at every beam width, parallelism and reposition setting,
-// the sparse delta evaluator produces candidates byte-identical — bitwise
-// MCL, same mappings, same order — to the dense exact-recompute path
-// (Config.DisableDeltaEval). It doubles as the Parallelism 1-vs-8 beam
-// determinism regression for the deterministic topN/combo tie-breaks.
+// TestMergeDeltaByteIdentical pins the scoring contract the package comment
+// promises: at every beam width, parallelism and reposition setting, the
+// bound-pruned sparse scorer produces candidates byte-identical — bitwise
+// MCL, same mappings, same order — to the unbounded dense reference
+// (oracleMerge). It doubles as the Parallelism 1-vs-8 beam determinism
+// regression for the deterministic topN/combo tie-breaks and checks the
+// exact work counters: every combo is either scored in full or abandoned,
+// and both counts are the same at any parallelism.
 func TestMergeDeltaByteIdentical(t *testing.T) {
 	scenarios := []struct {
 		name       string
 		childShape []int
 		cubeShape  []int
 		torus      bool
-		forceDelta bool // drop deltaMinChannels so small channel spaces use the sparse path
+		unitVol    bool // every flow has volume 1: many equal scores
+		childCands int  // Config.ChildCandidates (0 = 2)
+		maxOrients int  // Config.MaxOrientations (0 = 8, -1 = the default, all)
 		beams      []int
 		reposition []bool
 	}{
-		// Parent 4x4x4, 384 channels: the sparse path engages by default.
+		// Parent 4x4x4, 384 channels.
 		{
 			name:       "3d-4x4x4",
 			childShape: []int{2, 2, 2},
@@ -100,25 +107,54 @@ func TestMergeDeltaByteIdentical(t *testing.T) {
 			beams:      []int{4},
 			reposition: []bool{false},
 		},
-		// Wrapped evaluation (k=4 dims tie at distance 2) on a channel
-		// space below the auto threshold, forced onto the sparse path.
+		// Wrapped evaluation (k=4 dims tie at distance 2) on a small
+		// channel space.
 		{
 			name:       "torus-4x4x2",
 			childShape: []int{2, 2, 2},
 			cubeShape:  []int{2, 2, 1},
 			torus:      true,
-			forceDelta: true,
 			beams:      []int{1, 8},
 			reposition: []bool{false, true},
+		},
+		// The default configuration: beam 64, 4 child candidates, all 48
+		// orientations of a 2x2x2 child.
+		{
+			name:       "default-4x4x4",
+			childShape: []int{2, 2, 2},
+			cubeShape:  []int{2, 2, 2},
+			torus:      true,
+			childCands: 4,
+			maxOrients: -1,
+			beams:      []int{64},
+			reposition: []bool{false},
+		},
+		// Unit volumes on a torus: scores collide at the cutoff, so the
+		// strict abandonment test and the placement-key tie-break decide
+		// which equal-score combos survive.
+		{
+			name:       "ties-4x4x4",
+			childShape: []int{2, 2, 2},
+			cubeShape:  []int{2, 2, 2},
+			torus:      true,
+			unitVol:    true,
+			childCands: 4,
+			maxOrients: -1,
+			beams:      []int{1, 8, 64},
+			reposition: []bool{false},
+		},
+		{
+			name:       "ties-repos-4x4x4",
+			childShape: []int{2, 2, 2},
+			cubeShape:  []int{2, 2, 2},
+			torus:      true,
+			unitVol:    true,
+			beams:      []int{1, 8},
+			reposition: []bool{true},
 		},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			if sc.forceDelta {
-				saved := deltaMinChannels
-				deltaMinChannels = 0
-				t.Cleanup(func() { deltaMinChannels = saved })
-			}
 			nchild := 1
 			for _, k := range sc.cubeShape {
 				nchild *= k
@@ -131,10 +167,15 @@ func TestMergeDeltaByteIdentical(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + n)))
 			g := graph.New(n)
 			for e := 0; e < 4*n; e++ {
-				g.AddTraffic(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(9)))
+				vol := float64(1 + rng.Intn(9))
+				if sc.unitVol {
+					vol = 1
+				}
+				g.AddTraffic(rng.Intn(n), rng.Intn(n), vol)
 			}
 			pins := rng.Perm(nchild)
 
+			var abandoned int64
 			for _, bw := range sc.beams {
 				for _, repos := range sc.reposition {
 					cfg := Config{
@@ -144,25 +185,56 @@ func TestMergeDeltaByteIdentical(t *testing.T) {
 						Torus:           sc.torus,
 						Reposition:      repos,
 					}
-					run := func(disable bool, par int) *Block {
+					if sc.childCands > 0 {
+						cfg.ChildCandidates = sc.childCands
+					}
+					if sc.maxOrients < 0 {
+						cfg.MaxOrientations = 0
+					}
+					label := fmt.Sprintf("bw=%d repos=%v", bw, repos)
+					want := oracleMerge(t, g, deltaChildren(t, g, nchild, tpc, sc.childShape), sc.cubeShape, pins, cfg)
+					var counts map[string]int64
+					for _, par := range []int{1, 8} {
 						c := cfg
-						c.DisableDeltaEval = disable
 						c.Parallelism = par
-						blk, err := Merge(g, deltaChildren(t, g, nchild, tpc, sc.childShape), sc.cubeShape, pins, c)
+						scope := telemetry.NewScope("")
+						blk, err := MergeCtx(telemetry.WithScope(context.Background(), scope), g,
+							deltaChildren(t, g, nchild, tpc, sc.childShape), sc.cubeShape, pins, c)
 						if err != nil {
 							t.Fatal(err)
 						}
-						return blk
+						wantSameBlock(t, want, blk, fmt.Sprintf("%s par=%d", label, par))
+						got := workCounts(scope)
+						if got[telemetry.CtrDeltaHits]+got[telemetry.CtrBeamAbandoned] != got[telemetry.CtrBeamCandidates] {
+							t.Fatalf("%s par=%d: delta hits + abandoned != candidates: %v", label, par, got)
+						}
+						if counts == nil {
+							counts = got
+						} else if !reflect.DeepEqual(got, counts) {
+							t.Fatalf("%s: par=8 counters %v, par=1 %v", label, got, counts)
+						}
 					}
-					label := fmt.Sprintf("bw=%d repos=%v", bw, repos)
-					dense := run(true, 1)
-					wantSameBlock(t, dense, run(false, 1), label+" delta/seq")
-					wantSameBlock(t, dense, run(false, 8), label+" delta/par8")
-					wantSameBlock(t, dense, run(true, 8), label+" dense/par8")
+					abandoned += counts[telemetry.CtrBeamAbandoned]
 				}
+			}
+			if sc.maxOrients < 0 && abandoned == 0 {
+				t.Fatalf("no combo was abandoned: the bound was never exercised")
 			}
 		})
 	}
+}
+
+// workCounts returns the merge's exact work counters recorded in scope.
+func workCounts(scope *telemetry.Scope) map[string]int64 {
+	snap := scope.Snapshot()
+	out := map[string]int64{}
+	for _, name := range []string{
+		telemetry.CtrBeamCandidates, telemetry.CtrBeamKept, telemetry.CtrBeamAbandoned,
+		telemetry.CtrDeltaHits, telemetry.CtrSymmetryEvals, telemetry.CtrSymmetryAbandoned,
+	} {
+		out[name] = snap.Counter(name)
+	}
+	return out
 }
 
 // TestTopNDeterministicTieBreak pins the beam truncation tie-break: states

@@ -10,13 +10,13 @@
 // scored by the maximum channel load of the traffic merged so far; only the
 // best N (the paper uses N = 64) survive.
 //
-// # Incremental MCL evaluation
+// # Incremental, bound-pruned MCL evaluation
 //
 // Scoring a candidate placement does not recompute the merged channel loads
 // from scratch. A candidate perturbs only the channels its own flows
-// traverse, so the scorers accumulate the candidate's contribution — the
+// traverse, so the scorer accumulates the candidate's contribution — the
 // incoming child's internal loads plus its cross flows to the already-placed
-// children — into a sparse routing.DeltaVec and score it against the partial
+// children — into a sparse routing.DeltaVec and scores it against the partial
 // configuration's dense load vector as
 //
 //	mcl = max(state.mcl, max over touched ch of state.loads[ch] + delta[ch])
@@ -30,11 +30,16 @@
 // internal minimal routes neither wrap nor pick up direction ties, making
 // the load pattern translation-equivariant.
 //
-// A dense exact-recompute path (Config.DisableDeltaEval, also selected
-// automatically for small channel spaces) scores every candidate from a
-// zeroed load vector instead; both paths deposit per-channel values in the
-// same order and therefore produce byte-identical beams, a property pinned
-// by TestMergeDeltaByteIdentical.
+// The DeltaVec keeps that score as a running peak, which never decreases as
+// deposits arrive and ends at the exact score. Both scoring loops use it to
+// stop early. A merge step scores its (candidate, orientation) groups in
+// fixed rounds of roundGroups; before each round the cutoff U is the
+// BeamWidth-th smallest score fully computed in earlier rounds, and a combo
+// whose peak rises strictly above U is abandoned — it could never have
+// entered the beam. mergeOrder abandons an orientation pair once its peak
+// reaches the pair's best score so far. DESIGN.md §16 gives the argument;
+// TestMergeDeltaByteIdentical pins the beams byte-identical to the unbounded
+// dense reference scorer in oracle_test.go.
 package merge
 
 import (
@@ -55,22 +60,22 @@ import (
 )
 
 // Beam-search counters on the process-wide registry. The scoring loops
-// accumulate plain locals and flush once per merge step / ordering pass.
+// accumulate plain locals and flush once per merge / ordering pass.
 var (
-	ctrBeamCandidates = telemetry.Default.Counter(telemetry.CtrBeamCandidates)
-	ctrBeamKept       = telemetry.Default.Counter(telemetry.CtrBeamKept)
-	ctrSymmetryEvals  = telemetry.Default.Counter(telemetry.CtrSymmetryEvals)
-	ctrDeltaHits      = telemetry.Default.Counter(telemetry.CtrDeltaHits)
-	ctrDeltaFallbacks = telemetry.Default.Counter(telemetry.CtrDeltaFallbacks)
+	ctrBeamCandidates    = telemetry.Default.Counter(telemetry.CtrBeamCandidates)
+	ctrBeamKept          = telemetry.Default.Counter(telemetry.CtrBeamKept)
+	ctrBeamAbandoned     = telemetry.Default.Counter(telemetry.CtrBeamAbandoned)
+	ctrSymmetryEvals     = telemetry.Default.Counter(telemetry.CtrSymmetryEvals)
+	ctrSymmetryAbandoned = telemetry.Default.Counter(telemetry.CtrSymmetryAbandoned)
+	ctrDeltaHits         = telemetry.Default.Counter(telemetry.CtrDeltaHits)
 )
 
-// deltaMinChannels is the channel-space size below which the merge scorers
-// use the dense exact-recompute path unconditionally: with only a few
-// hundred channels the O(NumChannels) zero-and-scan is cheaper than sparse
-// bookkeeping. Both paths are byte-identical, so the threshold only affects
-// speed. Package variable so tests can force the sparse path on small
-// topologies.
-var deltaMinChannels = 256
+// roundGroups is how many (candidate, orientation) groups a merge step
+// scores between two updates of its cutoff. It is a constant, not a
+// function of Parallelism, so which combos are abandoned — and hence the
+// work counters — never depend on the worker count. Smaller rounds tighten
+// the cutoff sooner; larger ones give workers more to share.
+const roundGroups = 4
 
 // Orientation is a signed dimension permutation of a box: output coordinate
 // d reads input coordinate Perm[d], reversed when Flip[d] is set. Only
@@ -252,12 +257,6 @@ type Config struct {
 	// Parallelism bounds the worker goroutines scoring merge candidates
 	// (0 = GOMAXPROCS).
 	Parallelism int
-	// DisableDeltaEval forces the scorers onto the dense exact-recompute
-	// path: every candidate's channel loads are re-accumulated from a
-	// zeroed vector instead of sparsely against the beam state. Both paths
-	// produce byte-identical beams; the switch exists for A/B validation
-	// and benchmarking (small channel spaces fall back automatically).
-	DisableDeltaEval bool
 	// Observer receives BeamRound events after every merge step; nil is a
 	// no-op.
 	Observer obs.Observer
@@ -298,6 +297,15 @@ func MergeCtx(ctx context.Context, g *graph.Comm, children []*Block, cubeShape [
 	if err := hardCancel(ctx); err != nil {
 		return nil, err
 	}
+	m, err := newMerger(ctx, g, children, cubeShape, childPos, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return m.run()
+}
+
+// newMerger validates a merge and precomputes everything its steps share.
+func newMerger(ctx context.Context, g *graph.Comm, children []*Block, cubeShape []int, childPos []int, cfg Config) (*merger, error) {
 	cfg = cfg.withDefaults()
 	if len(children) == 0 {
 		return nil, fmt.Errorf("merge: no children")
@@ -386,8 +394,12 @@ func MergeCtx(ctx context.Context, g *graph.Comm, children []*Block, cubeShape [
 	m.obs = obs.OrNop(cfg.Observer)
 	m.scope = telemetry.ScopeFrom(ctx)
 	m.alg = routing.MinimalAdaptive{}.WithScope(m.scope)
+	m.workers = cfg.Parallelism
+	if m.workers <= 0 {
+		m.workers = runtime.GOMAXPROCS(0)
+	}
 	m.initAdjacency()
-	return m.run()
+	return m, nil
 }
 
 // hardCancel returns ctx's error when it was canceled outright. Deadline
@@ -435,6 +447,8 @@ type merger struct {
 	// traffic is attributed to the owning request.
 	scope *telemetry.Scope
 	alg   routing.MinimalAdaptive
+	// workers is the resolved Parallelism.
+	workers int
 
 	// Per-task adjacency of the merged tasks. On a frozen graph these alias
 	// the CSR rows directly; on a builder graph they are compiled once here
@@ -616,84 +630,108 @@ func (m *merger) addFlowsDelta(aTasks []int, aPos []int, bTasks []int, bPos []in
 	m.scratch.Put(fs)
 }
 
-// mergeOrder ranks children by decreasing average best-pair MCL. Each
-// child's internal loads are routed once per sampled orientation into a
-// snapshot; a pair evaluation then replays two snapshots and routes only the
-// cross flows, sparsely — no dense vector is zeroed or scanned per pair.
-func (m *merger) mergeOrder() []int {
-	n := len(m.children)
-	if n == 1 {
-		return []int{0}
+// parallel calls fn(w, i) for every i in [0, n) on up to workers goroutines
+// and returns once all calls have. Workers pull indices from a shared
+// counter; w identifies the calling worker so fn can use per-worker scratch.
+// Results must depend only on i, never on which worker ran it.
+func parallel(n, workers int, fn func(w, i int)) {
+	if workers > n {
+		workers = n
 	}
-	// Cap orientation pairs.
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(w, i)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// canceled polls the merge context without blocking.
+func (m *merger) canceled() bool {
+	select {
+	case <-m.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// orderPair is one unordered child pair of the merge-order ranking.
+type orderPair struct{ i, j int }
+
+// pairEdge is one flow between the two children of an orderPair.
+type pairEdge struct {
+	ai, bi int32 // local task indices within child i / child j
+	fromJ  bool  // the flow runs j -> i when set
+	vol    float64
+}
+
+// orderInputs is what the merge-order pair evaluations read: per (child,
+// sampled orientation) pinned placements and internal-load snapshots, and
+// per child pair its cross flows.
+type orderInputs struct {
+	ko    int // orientations sampled per child
+	pl    [][][]int
+	snaps [][]routing.Snapshot
+	pairs []orderPair
+	edges [][]pairEdge
+}
+
+// orderSetup builds the merge-order inputs. Each child's internal loads are
+// routed once per sampled orientation into a snapshot shared by every pair
+// the child takes part in; the cross flows of each pair are extracted in a
+// single graph pass. Under cancellation some placements stay nil.
+func (m *merger) orderSetup() *orderInputs {
+	n := len(m.children)
 	ko := len(m.orients)
 	for ko > 1 && ko*ko > m.cfg.MaxPairEvals {
 		ko--
 	}
-	workers := m.cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	in := &orderInputs{ko: ko, pl: make([][][]int, n), snaps: make([][]routing.Snapshot, n)}
+	for i := range in.pl {
+		in.pl[i] = make([][]int, ko)
+		in.snaps[i] = make([]routing.Snapshot, ko)
 	}
-
-	// Stage 1: pinned placements and internal-load snapshots per (child,
-	// orientation), shared by every pair the child participates in.
-	pl := make([][][]int, n)
-	snaps := make([][]routing.Snapshot, n)
-	for i := range pl {
-		pl[i] = make([][]int, ko)
-		snaps[i] = make([]routing.Snapshot, ko)
-	}
-	units := n * ko
-	var wg sync.WaitGroup
-	chunk := (units + workers - 1) / workers
-	for w := 0; w < workers && w*chunk < units; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > units {
-			hi = units
+	dvs := make([]*routing.DeltaVec, m.workers)
+	parallel(n*ko, m.workers, func(w, u int) {
+		if m.canceled() {
+			return // ordering becomes partial; run() handles the context
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			dv := routing.NewDeltaVec(m.parent.NumChannels())
-			for u := lo; u < hi; u++ {
-				select {
-				case <-m.done:
-					return // ordering becomes partial; run() handles the context
-				default:
-				}
-				i, oi := u/ko, u%ko
-				p := m.placement(i, m.children[i].Candidates[0], m.orients[oi])
-				dv.Reset()
-				m.addFlowsDelta(m.children[i].Tasks, p, m.children[i].Tasks, p, dv, true)
-				pl[i][oi] = p
-				snaps[i][oi] = dv.Snapshot()
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		if dvs[w] == nil {
+			dvs[w] = routing.NewDeltaVec(m.parent.NumChannels())
+		}
+		dv := dvs[w]
+		i, oi := u/ko, u%ko
+		p := m.placement(i, m.children[i].Candidates[0], m.orients[oi])
+		dv.Reset()
+		m.addFlowsDelta(m.children[i].Tasks, p, m.children[i].Tasks, p, dv, true)
+		in.pl[i][oi] = p
+		in.snaps[i][oi] = dv.Snapshot()
+	})
 
-	// Stage 2: pair evaluations. The cross flows of each child pair are
-	// extracted once from the adjacency (a single graph pass); an
-	// evaluation replays the two internal snapshots and routes only those
-	// flows.
-	type pair struct{ i, j int }
-	var pairs []pair
 	pairIdx := make([][]int, n)
 	for i := 0; i < n; i++ {
 		pairIdx[i] = make([]int, n)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			pairIdx[i][j] = len(pairs)
-			pairs = append(pairs, pair{i, j})
+			pairIdx[i][j] = len(in.pairs)
+			in.pairs = append(in.pairs, orderPair{i, j})
 		}
 	}
-	type pairEdge struct {
-		ai, bi int32 // local task indices within child i / child j
-		fromJ  bool  // the flow runs j -> i when set
-		vol    float64
-	}
-	pairEdges := make([][]pairEdge, len(pairs))
+	in.edges = make([][]pairEdge, len(in.pairs))
 	for t := 0; t < m.g.N(); t++ {
 		ci := m.taskChild[t]
 		if ci < 0 {
@@ -707,68 +745,22 @@ func (m *merger) mergeOrder() []int {
 			vol := m.nvol[t][ni]
 			if ci < cj {
 				pi := pairIdx[ci][cj]
-				pairEdges[pi] = append(pairEdges[pi], pairEdge{ai: m.taskLocal[t], bi: m.taskLocal[d], vol: vol})
+				in.edges[pi] = append(in.edges[pi], pairEdge{ai: m.taskLocal[t], bi: m.taskLocal[d], vol: vol})
 			} else {
 				pi := pairIdx[cj][ci]
-				pairEdges[pi] = append(pairEdges[pi], pairEdge{ai: m.taskLocal[d], bi: m.taskLocal[t], fromJ: true, vol: vol})
+				in.edges[pi] = append(in.edges[pi], pairEdge{ai: m.taskLocal[d], bi: m.taskLocal[t], fromJ: true, vol: vol})
 			}
 		}
 	}
-	best := make([]float64, len(pairs))
-	chunk = (len(pairs) + workers - 1) / workers
-	for w := 0; w < workers && w*chunk < len(pairs); w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var evals int64
-			//rahtm:allow(telemetrybatch): flushes a per-worker local once at worker exit, not per iteration
-			defer func() { m.scope.CounterOr(telemetry.CtrSymmetryEvals, ctrSymmetryEvals).Add(evals) }()
-			alg := m.alg
-			dv := routing.NewDeltaVec(m.parent.NumChannels())
-			for pi := lo; pi < hi; pi++ {
-				select {
-				case <-m.done:
-					return // ordering becomes partial; run() handles the context
-				default:
-				}
-				i, j := pairs[pi].i, pairs[pi].j
-				bst := -1.0
-				for oi := 0; oi < ko; oi++ {
-					if pl[i][oi] == nil {
-						continue // stage 1 was cut short by cancellation
-					}
-					for oj := 0; oj < ko; oj++ {
-						if pl[j][oj] == nil {
-							continue
-						}
-						evals++
-						dv.Reset()
-						dv.AddSnapshot(snaps[i][oi], 0)
-						dv.AddSnapshot(snaps[j][oj], 0)
-						for _, e := range pairEdges[pi] {
-							if e.fromJ {
-								alg.AddLoadsDelta(m.parent, pl[j][oj][e.bi], pl[i][oi][e.ai], e.vol, dv)
-							} else {
-								alg.AddLoadsDelta(m.parent, pl[i][oi][e.ai], pl[j][oj][e.bi], e.vol, dv)
-							}
-						}
-						mcl := dv.Max()
-						if bst < 0 || mcl < bst {
-							bst = mcl
-						}
-					}
-				}
-				best[pi] = bst
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	return in
+}
+
+// rankChildren orders children by decreasing average best-pair MCL, given
+// best[pi] for every pair (-1 for a pair never evaluated).
+func (m *merger) rankChildren(in *orderInputs, best []float64) []int {
+	n := len(m.children)
 	avg := make([]float64, n)
-	for pi, p := range pairs {
+	for pi, p := range in.pairs {
 		avg[p.i] += best[pi]
 		avg[p.j] += best[pi]
 	}
@@ -778,6 +770,85 @@ func (m *merger) mergeOrder() []int {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return avg[order[a]] > avg[order[b]] })
 	return order
+}
+
+// mergeOrder ranks children by decreasing average best-pair MCL. A pair
+// evaluation replays two internal snapshots and routes only the pair's cross
+// flows, sparsely, and is abandoned as soon as its running peak reaches the
+// pair's best score so far: acceptance is strict (mcl < best), so such an
+// orientation pair could not have changed best and the ranking is exact.
+func (m *merger) mergeOrder() []int {
+	if len(m.children) == 1 {
+		return []int{0}
+	}
+	in := m.orderSetup()
+	ko := in.ko
+	best := make([]float64, len(in.pairs))
+	type orderWorker struct {
+		dv               *routing.DeltaVec
+		evals, abandoned int64
+	}
+	ws := make([]orderWorker, m.workers)
+	parallel(len(in.pairs), m.workers, func(w, pi int) {
+		if m.canceled() {
+			return // ordering becomes partial; run() handles the context
+		}
+		ow := &ws[w]
+		if ow.dv == nil {
+			ow.dv = routing.NewDeltaVec(m.parent.NumChannels())
+		}
+		dv, alg := ow.dv, m.alg
+		i, j := in.pairs[pi].i, in.pairs[pi].j
+		bst := math.Inf(1)
+		var evals, abandoned int64 // per pair, so workers do not share cache lines per eval
+		for oi := 0; oi < ko; oi++ {
+			pli := in.pl[i][oi]
+			if pli == nil {
+				continue // setup was cut short by cancellation
+			}
+		orient:
+			for oj := 0; oj < ko; oj++ {
+				plj := in.pl[j][oj]
+				if plj == nil {
+					continue
+				}
+				evals++
+				dv.Reset()
+				dv.AddSnapshot(in.snaps[i][oi], 0)
+				dv.AddSnapshot(in.snaps[j][oj], 0)
+				if dv.Peak() >= bst {
+					abandoned++
+					continue
+				}
+				for _, e := range in.edges[pi] {
+					if e.fromJ {
+						alg.AddLoadsDelta(m.parent, plj[e.bi], pli[e.ai], e.vol, dv)
+					} else {
+						alg.AddLoadsDelta(m.parent, pli[e.ai], plj[e.bi], e.vol, dv)
+					}
+					if dv.Peak() >= bst {
+						abandoned++
+						continue orient
+					}
+				}
+				bst = dv.Peak()
+			}
+		}
+		if math.IsInf(bst, 1) {
+			bst = -1 // nothing evaluated (cancellation)
+		}
+		best[pi] = bst
+		ow.evals += evals
+		ow.abandoned += abandoned
+	})
+	var evals, abandoned int64
+	for _, ow := range ws {
+		evals += ow.evals
+		abandoned += ow.abandoned
+	}
+	m.scope.CounterOr(telemetry.CtrSymmetryEvals, ctrSymmetryEvals).Add(evals)
+	m.scope.CounterOr(telemetry.CtrSymmetryAbandoned, ctrSymmetryAbandoned).Add(abandoned)
+	return m.rankChildren(in, best)
 }
 
 // state is one partial merged configuration.
@@ -888,9 +959,193 @@ func (m *merger) crossEdgesFor(order []int, step int, childStep []int32) []cross
 	return edges
 }
 
-// addCrossEdgesDelta routes the step's cross flows for the child placed at
-// cp (task local index -> parent rank) against the state's placements.
-func (m *merger) addCrossEdgesDelta(edges []crossEdge, st *state, cp []int, dv *routing.DeltaVec) {
+// stepLayout is the combo array of one merge step. (candidate, orientation)
+// groups are contiguous, so a worker computes each group's reference
+// placement and internal-load snapshot once and scores it against every
+// (state, cube position); within a group, combos run over states in beam
+// order and, per state, over its free cube positions.
+type stepLayout struct {
+	child, nc, groups, groupSize int
+	cubesOf                      [][]int // per state: free cube positions
+	off                          []int   // per state: offset of its combos within a group
+	combos                       []combo
+}
+
+// layoutStep lays out every combo of the step placing child into beam, all
+// unscored (mcl = +Inf).
+func (m *merger) layoutStep(beam []*state, child int) *stepLayout {
+	nc := len(m.children[child].Candidates)
+	if nc > m.cfg.ChildCandidates {
+		nc = m.cfg.ChildCandidates
+	}
+	sl := &stepLayout{child: child, nc: nc, groups: nc * len(m.orients)}
+	sl.cubesOf = make([][]int, len(beam))
+	sl.off = make([]int, len(beam)+1)
+	for si, st := range beam {
+		sl.cubesOf[si] = m.freeCubes(child, st.used, nil)
+		sl.off[si+1] = sl.off[si] + len(sl.cubesOf[si])
+	}
+	sl.groupSize = sl.off[len(beam)]
+	sl.combos = make([]combo, sl.groups*sl.groupSize)
+	for g := 0; g < sl.groups; g++ {
+		c, o := g/len(m.orients), g%len(m.orients)
+		base := g * sl.groupSize
+		for si := range beam {
+			for qi, q := range sl.cubesOf[si] {
+				sl.combos[base+sl.off[si]+qi] = combo{
+					si: int32(si), cand: int32(c), orient: int32(o),
+					cube: int32(q), mcl: math.Inf(1),
+				}
+			}
+		}
+	}
+	return sl
+}
+
+// selectBeam sorts the step's combos by score — equal scores by placement
+// key: state choice path first, then this step's packed choice, a total
+// order independent of scoring order and parallelism — and keeps the best
+// BeamWidth.
+func (m *merger) selectBeam(beam []*state, combos []combo) []combo {
+	sort.Slice(combos, func(a, b int) bool {
+		ca, cb := &combos[a], &combos[b]
+		if ca.mcl < cb.mcl {
+			return true
+		}
+		if cb.mcl < ca.mcl {
+			return false
+		}
+		if ca.si != cb.si {
+			return lessKey(beam[ca.si].key, beam[cb.si].key)
+		}
+		return packChoice(int(ca.cube), int(ca.cand), int(ca.orient)) <
+			packChoice(int(cb.cube), int(cb.cand), int(cb.orient))
+	})
+	if len(combos) > m.cfg.BeamWidth {
+		combos = combos[:m.cfg.BeamWidth]
+	}
+	return combos
+}
+
+// extend returns st with the child of this step placed at p, carrying loads.
+func extend(st *state, step int, p []int, sc combo, loads []float64) *state {
+	pos := make([][]int, step+1)
+	copy(pos, st.pos)
+	pos[step] = p
+	cube := make([]int, step+1)
+	copy(cube, st.cube)
+	cube[step] = int(sc.cube)
+	key := make([]uint64, step+1)
+	copy(key, st.key)
+	key[step] = packChoice(int(sc.cube), int(sc.cand), int(sc.orient))
+	return &state{
+		pos:   pos,
+		cube:  cube,
+		used:  st.used | 1<<uint(sc.cube),
+		key:   key,
+		loads: loads,
+		mcl:   sc.mcl,
+	}
+}
+
+// scoreWorker is one scoring goroutine's scratch and exact work counts.
+type scoreWorker struct {
+	dv              *routing.DeltaVec
+	pos             []int
+	hits, abandoned int64
+}
+
+// scoreStep scores the step's combos in rounds of roundGroups groups. Before
+// each round the cutoff u is the BeamWidth-th smallest score of the combos
+// fully scored in earlier rounds (+Inf until that many exist); inside the
+// round a combo is abandoned, keeping mcl = +Inf, once its running peak is
+// strictly above u — its final score would be too, and at least BeamWidth
+// combos score <= u, so it could never survive selectBeam. Equal scores are
+// kept, so ties still reach the placement-key tie-break. u changes only
+// between rounds, so which combos are abandoned does not depend on the
+// number of workers or their scheduling.
+func (m *merger) scoreStep(beam []*state, sl *stepLayout, crossEdges []crossEdge, ws []scoreWorker) {
+	child := sl.child
+	tasks := m.children[child].Tasks
+	refCube := m.childPos[child]
+	nd2 := m.parent.NumDims() * 2
+	refPos := make([][]int, sl.groups)
+	snaps := make([]routing.Snapshot, sl.groups)
+	parallel(sl.groups, len(ws), func(w, g int) {
+		if m.canceled() {
+			return
+		}
+		dv := ws[w].dv
+		refPos[g] = m.placement(child, m.children[child].Candidates[g/len(m.orients)], m.orients[g%len(m.orients)])
+		dv.Reset()
+		m.addFlowsDelta(tasks, refPos[g], tasks, refPos[g], dv, true)
+		snaps[g] = dv.Snapshot()
+	})
+
+	var kept []float64 // the BeamWidth smallest full scores, ascending
+	for r0 := 0; r0 < sl.groups && !m.canceled(); r0 += roundGroups {
+		r1 := min(r0+roundGroups, sl.groups)
+		u := math.Inf(1)
+		if len(kept) == m.cfg.BeamWidth {
+			u = kept[len(kept)-1]
+		}
+		// One unit scores group g against state si at each free cube.
+		parallel((r1-r0)*len(beam), len(ws), func(w, unit int) {
+			if m.canceled() {
+				return // unscored combos keep mcl=+Inf; run() discards the step
+			}
+			sw := &ws[w]
+			g, si := r0+unit/len(beam), unit%len(beam)
+			st := beam[si]
+			cubes := sl.cubesOf[si]
+			if st.mcl > u {
+				sw.abandoned += int64(len(cubes))
+				return
+			}
+			ref, dv := refPos[g], sw.dv
+			if cap(sw.pos) < len(ref) {
+				sw.pos = make([]int, len(ref))
+			}
+			posBuf := sw.pos[:len(ref)]
+			base := g*sl.groupSize + sl.off[si]
+			var hits int64
+			for qi, q := range cubes {
+				rankOff := m.originRank[q] - m.originRank[refCube]
+				for i := range ref {
+					posBuf[i] = ref[i] + rankOff
+				}
+				dv.ResetOver(st.loads, st.mcl)
+				dv.AddSnapshot(snaps[g], rankOff*nd2)
+				if !m.addCrossEdgesBounded(crossEdges, st, posBuf, dv, u) {
+					continue
+				}
+				sl.combos[base+qi].mcl = dv.Peak()
+				hits++
+			}
+			sw.hits += hits
+			sw.abandoned += int64(len(cubes)) - hits
+		})
+		for _, c := range sl.combos[r0*sl.groupSize : r1*sl.groupSize] {
+			if !math.IsInf(c.mcl, 1) {
+				kept = append(kept, c.mcl)
+			}
+		}
+		sort.Float64s(kept)
+		if len(kept) > m.cfg.BeamWidth {
+			kept = kept[:m.cfg.BeamWidth]
+		}
+	}
+}
+
+// addCrossEdgesBounded routes the step's cross flows for the child placed at
+// cp (task local index -> parent rank) against the state's placements,
+// stopping as soon as the running peak exceeds u (u = +Inf routes them all).
+// It reports whether every flow was routed with the peak at most u, the
+// deposits already in dv included.
+func (m *merger) addCrossEdgesBounded(edges []crossEdge, st *state, cp []int, dv *routing.DeltaVec, u float64) bool {
+	if dv.Peak() > u {
+		return false
+	}
 	alg := m.alg
 	for _, e := range edges {
 		pp := st.pos[e.s][e.oi]
@@ -899,33 +1154,32 @@ func (m *merger) addCrossEdgesDelta(edges []crossEdge, st *state, cp []int, dv *
 		} else {
 			alg.AddLoadsDelta(m.parent, cp[e.ci], pp, e.vol, dv)
 		}
-	}
-}
-
-// addCrossEdges is addCrossEdgesDelta into a dense vector, same flow order.
-func (m *merger) addCrossEdges(edges []crossEdge, st *state, cp []int, loads []float64) {
-	alg := m.alg
-	for _, e := range edges {
-		pp := st.pos[e.s][e.oi]
-		if e.toChild {
-			alg.AddLoads(m.parent, pp, cp[e.ci], e.vol, loads)
-		} else {
-			alg.AddLoads(m.parent, cp[e.ci], pp, e.vol, loads)
+		if dv.Peak() > u {
+			return false
 		}
 	}
+	return true
 }
 
-// maxShifted returns the maximum of base[ch]+delta[ch] over all channels —
-// the dense-path score, bit-identical to DeltaVec.MaxOver because adding a
-// zero delta is exact and deltas are non-negative.
-func maxShifted(base, delta []float64) float64 {
-	max := 0.0
-	for ch, b := range base {
-		if v := b + delta[ch]; v > max {
-			max = v
-		}
+// materialize builds the next beam from the selected combos. Each winner's
+// contribution is re-accumulated at its actual cube position —
+// bit-identical to the translated snapshot used for scoring — and added
+// onto a copy of its state's loads.
+func (m *merger) materialize(beam []*state, sl *stepLayout, combos []combo, step int, crossEdges []crossEdge, dv *routing.DeltaVec) []*state {
+	tasks := m.children[sl.child].Tasks
+	next := make([]*state, 0, len(combos))
+	for _, sc := range combos {
+		st := beam[sc.si]
+		cand := m.children[sl.child].Candidates[sc.cand]
+		p := m.placementAt(sl.child, cand, m.orients[sc.orient], int(sc.cube))
+		loads := append([]float64(nil), st.loads...)
+		dv.Reset()
+		m.addFlowsDelta(tasks, p, tasks, p, dv, true)
+		m.addCrossEdgesBounded(crossEdges, st, p, dv, math.Inf(1))
+		dv.AddTo(loads)
+		next = append(next, extend(st, step, p, sc, loads))
 	}
-	return max
+	return topN(next, m.cfg.BeamWidth)
 }
 
 func (m *merger) run() (*Block, error) {
@@ -933,21 +1187,19 @@ func (m *merger) run() (*Block, error) {
 	if err := hardCancel(m.ctx); err != nil {
 		return nil, err
 	}
-	workers := m.cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	useDelta := !m.cfg.DisableDeltaEval && m.parent.NumChannels() >= deltaMinChannels
-	nd2 := m.parent.NumDims() * 2
 	degraded := false
-	var candGen, candKept, deltaHits, deltaFalls int64
+	var candGen, candKept, deltaHits, abandoned int64
 	defer func() {
 		m.scope.CounterOr(telemetry.CtrBeamCandidates, ctrBeamCandidates).Add(candGen)
 		m.scope.CounterOr(telemetry.CtrBeamKept, ctrBeamKept).Add(candKept)
 		m.scope.CounterOr(telemetry.CtrDeltaHits, ctrDeltaHits).Add(deltaHits)
-		m.scope.CounterOr(telemetry.CtrDeltaFallbacks, ctrDeltaFallbacks).Add(deltaFalls)
+		m.scope.CounterOr(telemetry.CtrBeamAbandoned, ctrBeamAbandoned).Add(abandoned)
 	}()
 
+	ws := make([]scoreWorker, m.workers)
+	for w := range ws {
+		ws[w].dv = routing.NewDeltaVec(m.parent.NumChannels())
+	}
 	// The beam starts from the empty configuration; step 0 seeds it with
 	// the first child's variants through the same scoring path as every
 	// later step.
@@ -970,115 +1222,15 @@ func (m *merger) run() (*Block, error) {
 			break
 		}
 		child := order[step]
-		tasks := m.children[child].Tasks
-		nc := len(m.children[child].Candidates)
-		if nc > m.cfg.ChildCandidates {
-			nc = m.cfg.ChildCandidates
-		}
-		numOrients := len(m.orients)
-		refCube := m.childPos[child]
 		crossEdges := m.crossEdgesFor(order, step, childStep)
 		childStep[child] = int32(step)
 
-		// Combo layout: (candidate, orientation) groups are contiguous so a
-		// worker computes each group's reference placement — and, in delta
-		// mode, its internal-load snapshot — exactly once, then scores the
-		// group against every (state, cube position).
-		cubesOf := make([][]int, len(beam))
-		off := make([]int, len(beam)+1)
-		for si, st := range beam {
-			cubesOf[si] = m.freeCubes(child, st.used, nil)
-			off[si+1] = off[si] + len(cubesOf[si])
+		// Pass 1: score every combo, bounded by the running cutoff.
+		sl := m.layoutStep(beam, child)
+		for w := range ws {
+			ws[w].hits, ws[w].abandoned = 0, 0
 		}
-		groupSize := off[len(beam)]
-		groups := nc * numOrients
-		combos := make([]combo, groups*groupSize)
-		for c := 0; c < nc; c++ {
-			for o := 0; o < numOrients; o++ {
-				base := (c*numOrients + o) * groupSize
-				for si := range beam {
-					for qi, q := range cubesOf[si] {
-						combos[base+off[si]+qi] = combo{
-							si: int32(si), cand: int32(c), orient: int32(o),
-							cube: int32(q), mcl: math.Inf(1),
-						}
-					}
-				}
-			}
-		}
-
-		// Pass 1: score every combo, in parallel over groups.
-		var wg sync.WaitGroup
-		chunk := (groups + workers - 1) / workers
-		for w := 0; w < workers && w*chunk < groups; w++ {
-			glo, ghi := w*chunk, (w+1)*chunk
-			if ghi > groups {
-				ghi = groups
-			}
-			wg.Add(1)
-			go func(glo, ghi int) {
-				defer wg.Done()
-				var hits, falls int64
-				defer func() {
-					atomic.AddInt64(&deltaHits, hits)
-					atomic.AddInt64(&deltaFalls, falls)
-				}()
-				refPos := make([]int, len(tasks))
-				posBuf := make([]int, len(tasks))
-				var dv *routing.DeltaVec
-				var buf []float64
-				if useDelta {
-					dv = routing.NewDeltaVec(m.parent.NumChannels())
-				} else {
-					buf = make([]float64, m.parent.NumChannels())
-				}
-				var snap routing.Snapshot
-				for g := glo; g < ghi; g++ {
-					c, o := g/numOrients, g%numOrients
-					cand := m.children[child].Candidates[c]
-					for i := range tasks {
-						refPos[i] = m.taskParentPos(cand, m.orients[o], refCube, i)
-					}
-					if useDelta {
-						dv.Reset()
-						m.addFlowsDelta(tasks, refPos, tasks, refPos, dv, true)
-						snap = dv.Snapshot()
-					}
-					base := g * groupSize
-					for si, st := range beam {
-						for qi, q := range cubesOf[si] {
-							select {
-							case <-m.done:
-								return // unscored combos keep mcl=+Inf and are discarded
-							default:
-							}
-							rankOff := m.originRank[q] - m.originRank[refCube]
-							for i := range refPos {
-								posBuf[i] = refPos[i] + rankOff
-							}
-							var mcl float64
-							if useDelta {
-								dv.Reset()
-								dv.AddSnapshot(snap, rankOff*nd2)
-								m.addCrossEdgesDelta(crossEdges, st, posBuf, dv)
-								mcl = dv.MaxOver(st.loads, st.mcl)
-								hits++
-							} else {
-								for k := range buf {
-									buf[k] = 0
-								}
-								m.addFlows(tasks, posBuf, tasks, posBuf, buf, true)
-								m.addCrossEdges(crossEdges, st, posBuf, buf)
-								mcl = maxShifted(st.loads, buf)
-								falls++
-							}
-							combos[base+off[si]+qi].mcl = mcl
-						}
-					}
-				}
-			}(glo, ghi)
-		}
-		wg.Wait()
+		m.scoreStep(beam, sl, crossEdges, ws)
 		if err := hardCancel(m.ctx); err != nil {
 			return nil, err
 		}
@@ -1089,84 +1241,24 @@ func (m *merger) run() (*Block, error) {
 			degraded = true
 			break
 		}
-		candGen += int64(len(combos))
-		sort.Slice(combos, func(a, b int) bool {
-			ca, cb := &combos[a], &combos[b]
-			if ca.mcl < cb.mcl {
-				return true
-			}
-			if cb.mcl < ca.mcl {
-				return false
-			}
-			// Equal MCL: tie-break on the placement key — state choice path
-			// first, then this step's packed choice — a total order
-			// independent of scoring order and parallelism.
-			if ca.si != cb.si {
-				return lessKey(beam[ca.si].key, beam[cb.si].key)
-			}
-			return packChoice(int(ca.cube), int(ca.cand), int(ca.orient)) <
-				packChoice(int(cb.cube), int(cb.cand), int(cb.orient))
-		})
-		if len(combos) > m.cfg.BeamWidth {
-			combos = combos[:m.cfg.BeamWidth]
+		candGen += int64(len(sl.combos))
+		for _, sw := range ws {
+			deltaHits += sw.hits
+			abandoned += sw.abandoned
 		}
+		combos := m.selectBeam(beam, sl.combos)
 		candKept += int64(len(combos))
 
-		// Pass 2: materialize the winners. The winner's contribution is
-		// re-accumulated at its actual cube position — bit-identical to the
-		// translated snapshot used for scoring — and added onto the state
-		// loads channel by channel, so both modes build identical vectors.
-		next := make([]*state, 0, len(combos))
-		var dvM *routing.DeltaVec
-		var bufM []float64
-		if useDelta {
-			dvM = routing.NewDeltaVec(m.parent.NumChannels())
-		} else {
-			bufM = make([]float64, m.parent.NumChannels())
-		}
-		for _, sc := range combos {
-			st := beam[sc.si]
-			cand := m.children[child].Candidates[sc.cand]
-			p := m.placementAt(child, cand, m.orients[sc.orient], int(sc.cube))
-			loads := append([]float64(nil), st.loads...)
-			if useDelta {
-				dvM.Reset()
-				m.addFlowsDelta(tasks, p, tasks, p, dvM, true)
-				m.addCrossEdgesDelta(crossEdges, st, p, dvM)
-				dvM.AddTo(loads)
-			} else {
-				for k := range bufM {
-					bufM[k] = 0
-				}
-				m.addFlows(tasks, p, tasks, p, bufM, true)
-				m.addCrossEdges(crossEdges, st, p, bufM)
-				for k := range loads {
-					loads[k] += bufM[k]
-				}
-			}
-			pos := make([][]int, step+1)
-			copy(pos, st.pos)
-			pos[step] = p
-			cube := make([]int, step+1)
-			copy(cube, st.cube)
-			cube[step] = int(sc.cube)
-			key := make([]uint64, step+1)
-			copy(key, st.key)
-			key[step] = packChoice(int(sc.cube), int(sc.cand), int(sc.orient))
-			next = append(next, &state{
-				pos:   pos,
-				cube:  cube,
-				used:  st.used | 1<<uint(sc.cube),
-				key:   key,
-				loads: loads,
-				mcl:   sc.mcl,
-			})
-		}
-		beam = topN(next, m.cfg.BeamWidth)
+		// Pass 2: materialize the winners.
+		beam = m.materialize(beam, sl, combos, step, crossEdges, ws[0].dv)
 		m.obs.BeamRound(m.cfg.Level, step, len(beam), beam[0].mcl)
 	}
+	return m.assemble(beam, order, degraded), nil
+}
 
-	// Assemble the merged block: tasks ascending, candidates from the beam.
+// assemble builds the merged block: tasks ascending, candidates from the
+// beam.
+func (m *merger) assemble(beam []*state, order []int, degraded bool) *Block {
 	var allTasks []int
 	for _, c := range m.children {
 		allTasks = append(allTasks, c.Tasks...)
@@ -1191,7 +1283,7 @@ func (m *merger) run() (*Block, error) {
 		}
 		out.Candidates = append(out.Candidates, Candidate{Local: local, MCL: st.mcl})
 	}
-	return out, nil
+	return out
 }
 
 // completeGreedy finishes an interrupted merge from the best surviving

@@ -18,6 +18,14 @@ package routing
 // which is exact for non-negative deltas because untouched channels cannot
 // exceed the base maximum.
 //
+// The accumulator also keeps that score as a running peak: ResetOver binds
+// the base vector and its maximum, and every Add folds base[ch]+delta[ch]
+// into the peak. Deposits are non-negative and IEEE addition is monotone,
+// so the peak after any prefix of a candidate's deposits is a lower bound on
+// its final score, and once all deposits are in it equals MaxOver bit for
+// bit. The merger abandons a candidate as soon as that bound shows it cannot
+// survive the beam cutoff.
+//
 // MinimalAdaptive.AddLoadsDelta mirrors AddLoads exactly — same direction
 // and tie handling, same stencil-cache decisions, same DP, same deposit
 // order — so for any flow the per-channel totals accumulated into a DeltaVec
@@ -37,36 +45,62 @@ type DeltaVec struct {
 	stamp   []uint64
 	gen     uint64
 	touched []int32
+	// base is the dense vector the deltas are scored against (zeros after
+	// a plain Reset); peak is max(floor, base[ch]+vals[ch]) over every
+	// deposit since the last reset.
+	base, zero []float64
+	peak       float64
 }
 
 // NewDeltaVec returns an empty accumulator over n channels.
 func NewDeltaVec(n int) *DeltaVec {
+	zero := make([]float64, n)
 	return &DeltaVec{
 		vals:  make([]float64, n),
 		stamp: make([]uint64, n),
 		gen:   1,
+		base:  zero,
+		zero:  zero,
 	}
 }
 
 // Size returns the dense channel-space size.
 func (v *DeltaVec) Size() int { return len(v.vals) }
 
-// Reset forgets all accumulated deltas in O(1).
-func (v *DeltaVec) Reset() {
+// Reset forgets all accumulated deltas in O(1) and scores the peak against
+// an all-zero base with floor 0, so Peak tracks Max.
+func (v *DeltaVec) Reset() { v.ResetOver(v.zero, 0) }
+
+// ResetOver forgets all accumulated deltas and scores the peak against base
+// (one value per channel; read, never written) starting from floor, which
+// should be the maximum of base. Peak then tracks MaxOver(base, floor).
+func (v *DeltaVec) ResetOver(base []float64, floor float64) {
 	v.gen++
 	v.touched = v.touched[:0]
+	v.base = base
+	v.peak = floor
 }
 
-// Add accumulates x onto channel ch, marking it touched.
+// Add accumulates x onto channel ch, marking it touched, and raises the
+// peak to base[ch] plus the channel's new total if that is higher.
 func (v *DeltaVec) Add(ch int, x float64) {
 	if v.stamp[ch] != v.gen {
 		v.stamp[ch] = v.gen
 		v.vals[ch] = x
 		v.touched = append(v.touched, int32(ch))
-		return
+	} else {
+		v.vals[ch] += x
 	}
-	v.vals[ch] += x
+	if p := v.base[ch] + v.vals[ch]; p > v.peak {
+		v.peak = p
+	}
 }
+
+// Peak returns the running maximum of the floor and base[ch]+delta[ch] over
+// the deposits since the last reset. With non-negative deposits it never
+// exceeds the final score, and it equals MaxOver(base, floor) — Max after a
+// plain Reset — bit for bit once every deposit has been added.
+func (v *DeltaVec) Peak() float64 { return v.peak }
 
 // Value returns the accumulated delta on ch (0 when untouched).
 func (v *DeltaVec) Value(ch int) float64 {

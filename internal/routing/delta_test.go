@@ -160,3 +160,49 @@ func TestAddLoadsDeltaTieEnumeration(t *testing.T) {
 		t.Fatalf("tie flow should touch 4 channels, touched %d", dv.NumTouched())
 	}
 }
+
+// TestDeltaVecPeakMatchesMaxOver pins the running-max bound the merge
+// scorers prune with: after ResetOver(base, floor), the peak after every
+// flow is at most the peak after the last one, and the final peak equals
+// MaxOver(base, floor) bit for bit. A plain Reset tracks Max the same way.
+func TestDeltaVecPeakMatchesMaxOver(t *testing.T) {
+	topo := topology.NewTorus(4, 4, 4)
+	alg := MinimalAdaptive{}
+	rng := rand.New(rand.NewSource(11))
+	n := topo.N()
+	base := make([]float64, topo.NumChannels())
+	dv := NewDeltaVec(topo.NumChannels())
+	for trial := 0; trial < 40; trial++ {
+		for ch := range base {
+			base[ch] = float64(rng.Intn(4)) * (1 + rng.Float64())
+		}
+		floor := MCL(base)
+		for _, over := range []bool{true, false} {
+			if over {
+				dv.ResetOver(base, floor)
+			} else {
+				dv.Reset()
+			}
+			var partial []float64
+			for f := 0; f < 12; f++ {
+				alg.AddLoadsDelta(topo, rng.Intn(n), rng.Intn(n), 1+rng.Float64()*9, dv)
+				partial = append(partial, dv.Peak())
+			}
+			want := dv.Max()
+			if over {
+				want = dv.MaxOver(base, floor)
+			}
+			if got := dv.Peak(); got != want {
+				t.Fatalf("trial %d over=%v: peak %v, want %v (bitwise)", trial, over, got, want)
+			}
+			for i, p := range partial {
+				if p > want {
+					t.Fatalf("trial %d over=%v: partial peak %d = %v exceeds final %v", trial, over, i, p, want)
+				}
+				if i > 0 && p < partial[i-1] {
+					t.Fatalf("trial %d over=%v: peak fell from %v to %v", trial, over, partial[i-1], p)
+				}
+			}
+		}
+	}
+}

@@ -55,11 +55,12 @@ const (
 	CtrExhaustivePruned     = "hiermap.exhaustive.pruned"     // placements abandoned at the running-max bound
 
 	// merge: Phase 3 beam search.
-	CtrBeamCandidates = "merge.beam.candidates"
-	CtrBeamKept       = "merge.beam.kept"
-	CtrSymmetryEvals  = "merge.symmetry.evals"
-	CtrDeltaHits      = "merge.delta.hits"      // combos scored by the sparse delta evaluator
-	CtrDeltaFallbacks = "merge.delta.fallbacks" // combos scored by dense exact recompute
+	CtrBeamCandidates    = "merge.beam.candidates"
+	CtrBeamKept          = "merge.beam.kept"
+	CtrBeamAbandoned     = "merge.beam.abandoned" // combos abandoned at the beam cutoff
+	CtrSymmetryEvals     = "merge.symmetry.evals"
+	CtrSymmetryAbandoned = "merge.symmetry.abandoned" // merge-order orientation pairs abandoned at the pair's best
+	CtrDeltaHits         = "merge.delta.hits"         // combos scored in full by the sparse delta evaluator
 
 	// trace: communication-profile ingestion.
 	CtrTraceP2P   = "trace.p2p.records"

@@ -107,6 +107,9 @@ func WriteReport(w io.Writer, workers int, phases []PhaseTime, snap Snapshot) er
 		kept := snap.Counter(CtrBeamKept)
 		line("beam\t%d candidates generated, %d kept (%s pruned), %d symmetry evals",
 			cand, kept, pct(Rate(cand-kept, kept)), snap.Counter(CtrSymmetryEvals))
+		ab, evals, evalsAb := snap.Counter(CtrBeamAbandoned), snap.Counter(CtrSymmetryEvals), snap.Counter(CtrSymmetryAbandoned)
+		line("beam bound\t%d candidates abandoned at the cutoff (%s), %d symmetry evals at the pair best (%s)",
+			ab, pct(Rate(ab, cand-ab)), evalsAb, pct(Rate(evalsAb, evals-evalsAb)))
 	}
 	if p2p, colls := snap.Counter(CtrTraceP2P), snap.Counter(CtrTraceColls); p2p+colls > 0 {
 		line("trace\t%d p2p records, %d collectives expanded", p2p, colls)

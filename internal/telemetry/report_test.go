@@ -19,6 +19,9 @@ func TestWriteReportTable(t *testing.T) {
 	reg.Counter(CtrAnnealAccepted).Add(250)
 	reg.Counter(CtrBeamCandidates).Add(640)
 	reg.Counter(CtrBeamKept).Add(64)
+	reg.Counter(CtrBeamAbandoned).Add(500)
+	reg.Counter(CtrSymmetryEvals).Add(100)
+	reg.Counter(CtrSymmetryAbandoned).Add(90)
 	reg.Counter(CtrExhaustivePlacements).Add(40320)
 	reg.Counter(CtrExhaustivePruned).Add(40000)
 	phases := []PhaseTime{
@@ -41,6 +44,7 @@ func TestWriteReportTable(t *testing.T) {
 		"pivots/sec",
 		"250 accepted (25.0%)",
 		"640 candidates generated, 64 kept (90.0% pruned)",
+		"500 candidates abandoned at the cutoff (78.1%), 90 symmetry evals at the pair best (90.0%)",
 		"40320 placements scored, 40000 pruned by the bound (99.2%)",
 	} {
 		if !strings.Contains(out, want) {

@@ -282,8 +282,9 @@ func TestSolveWithScope(t *testing.T) {
 
 // TestExhaustiveCountersParallelismInvariant solves NAS BT at 256
 // processes with one and two workers: the exhaustive Phase 2 solver's
-// placement and prune counts are exact work counters, so both runs must
-// report the same nonzero values.
+// placement and prune counts and the Phase 3 merge's abandoned-combo and
+// abandoned-orientation-pair counts are exact work counters, so both runs
+// must report the same nonzero values.
 func TestExhaustiveCountersParallelismInvariant(t *testing.T) {
 	var want map[string]int64
 	for _, par := range []int{1, 2} {
@@ -295,11 +296,16 @@ func TestExhaustiveCountersParallelismInvariant(t *testing.T) {
 		got := map[string]int64{
 			"hiermap.exhaustive.placements": res.Metrics["hiermap.exhaustive.placements"],
 			"hiermap.exhaustive.pruned":     res.Metrics["hiermap.exhaustive.pruned"],
+			"merge.beam.abandoned":          res.Metrics["merge.beam.abandoned"],
+			"merge.symmetry.abandoned":      res.Metrics["merge.symmetry.abandoned"],
 		}
 		for name, v := range got {
 			if v <= 0 {
 				t.Fatalf("parallelism %d: %s = %d", par, name, v)
 			}
+		}
+		if h, a, c := res.Metrics["merge.delta.hits"], got["merge.beam.abandoned"], res.Metrics["merge.beam.candidates"]; h+a != c {
+			t.Fatalf("parallelism %d: %d delta hits + %d abandoned != %d beam candidates", par, h, a, c)
 		}
 		if want == nil {
 			want = got
