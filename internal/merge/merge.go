@@ -462,11 +462,11 @@ type merger struct {
 	// lists once per step instead of re-marking task sets per evaluation.
 	taskChild []int32
 	taskLocal []int32
-	// scratch pools flowScratch instances sized to g.N() for addFlows.
+	// scratch pools flowScratch instances sized to g.N() for eachFlow.
 	scratch sync.Pool
 }
 
-// flowScratch is the per-call working set of addFlows: task -> parent
+// flowScratch is the per-call working set of eachFlow: task -> parent
 // position plus membership marks, validated by generation counters so the
 // arrays never need clearing between calls.
 type flowScratch struct {
@@ -549,10 +549,15 @@ func (m *merger) placement(child int, cand Candidate, o Orientation) []int {
 	return m.placementAt(child, cand, o, m.childPos[child])
 }
 
-// addFlows adds the loads of all graph flows between the two task->position
-// maps (a may equal b for internal flows) into loads.
-func (m *merger) addFlows(aTasks []int, aPos []int, bTasks []int, bPos []int, loads []float64, includeInternal bool) {
-	alg := m.alg
+// eachFlow calls fn(src, dst, vol) with the parent positions of every
+// graph flow between the two task->position maps (a may equal b for
+// internal flows), in a fixed order: flows out of a's tasks, then flows
+// from b's remaining tasks into a. includeInternal keeps flows out of a
+// whose destination a and b both hold (all of them when a == b). Every sink — dense AddLoads on the greedy
+// completion path, sparse AddLoadsDelta in the scorers — walks flows
+// through here, so their per-channel totals agree bit for bit (see
+// routing.AddLoadsDelta).
+func (m *merger) eachFlow(aTasks []int, aPos []int, bTasks []int, bPos []int, includeInternal bool, fn func(src, dst int, vol float64)) {
 	fs := m.scratch.Get().(*flowScratch)
 	fs.gen++
 	gen := fs.gen
@@ -572,7 +577,7 @@ func (m *merger) addFlows(aTasks []int, aPos []int, bTasks []int, bPos []int, lo
 			if !includeInternal && fs.inA[d] == gen {
 				continue
 			}
-			alg.AddLoads(m.parent, fs.pos[t], fs.pos[d], m.nvol[t][ni], loads)
+			fn(fs.pos[t], fs.pos[d], m.nvol[t][ni])
 		}
 	}
 	for _, t := range bTasks {
@@ -583,51 +588,17 @@ func (m *merger) addFlows(aTasks []int, aPos []int, bTasks []int, bPos []int, lo
 			if fs.inA[d] != gen {
 				continue
 			}
-			alg.AddLoads(m.parent, fs.pos[t], fs.pos[d], m.nvol[t][ni], loads)
+			fn(fs.pos[t], fs.pos[d], m.nvol[t][ni])
 		}
 	}
 	m.scratch.Put(fs)
 }
 
-// addFlowsDelta is addFlows depositing into a sparse DeltaVec. It walks the
-// same flows in the same order, so per-channel totals match the dense path
-// bit-for-bit (see routing.AddLoadsDelta).
-func (m *merger) addFlowsDelta(aTasks []int, aPos []int, bTasks []int, bPos []int, dv *routing.DeltaVec, includeInternal bool) {
-	alg := m.alg
-	fs := m.scratch.Get().(*flowScratch)
-	fs.gen++
-	gen := fs.gen
-	for i, t := range aTasks {
-		fs.pos[t] = aPos[i]
-		fs.inA[t] = gen
-	}
-	for i, t := range bTasks {
-		fs.pos[t] = bPos[i]
-		fs.inB[t] = gen
-	}
-	for _, t := range aTasks {
-		for ni, d := range m.nbr[t] {
-			if fs.inB[d] != gen {
-				continue
-			}
-			if !includeInternal && fs.inA[d] == gen {
-				continue
-			}
-			alg.AddLoadsDelta(m.parent, fs.pos[t], fs.pos[d], m.nvol[t][ni], dv)
-		}
-	}
-	for _, t := range bTasks {
-		if fs.inA[t] == gen {
-			continue
-		}
-		for ni, d := range m.nbr[t] {
-			if fs.inA[d] != gen {
-				continue
-			}
-			alg.AddLoadsDelta(m.parent, fs.pos[t], fs.pos[d], m.nvol[t][ni], dv)
-		}
-	}
-	m.scratch.Put(fs)
+// addInternalDelta routes the flows among tasks, placed at pos, into dv.
+func (m *merger) addInternalDelta(tasks, pos []int, dv *routing.DeltaVec) {
+	m.eachFlow(tasks, pos, tasks, pos, true, func(src, dst int, vol float64) {
+		m.alg.AddLoadsDelta(m.parent, src, dst, vol, dv)
+	})
 }
 
 // parallel calls fn(w, i) for every i in [0, n) on up to workers goroutines
@@ -716,7 +687,7 @@ func (m *merger) orderSetup() *orderInputs {
 		i, oi := u/ko, u%ko
 		p := m.placement(i, m.children[i].Candidates[0], m.orients[oi])
 		dv.Reset()
-		m.addFlowsDelta(m.children[i].Tasks, p, m.children[i].Tasks, p, dv, true)
+		m.addInternalDelta(m.children[i].Tasks, p, dv)
 		in.pl[i][oi] = p
 		in.snaps[i][oi] = dv.Snapshot()
 	})
@@ -910,9 +881,10 @@ func (m *merger) freeCubes(child int, used uint64, dst []int) []int {
 // top of dst (dense). Only the greedy completion path uses it; the scorers
 // route precomputed crossEdge lists instead.
 func (m *merger) applyVariant(st *state, order []int, step, child int, p []int, dst []float64) {
-	m.addFlows(m.children[child].Tasks, p, m.children[child].Tasks, p, dst, true)
+	add := func(a, b int, vol float64) { m.alg.AddLoads(m.parent, a, b, vol, dst) }
+	m.eachFlow(m.children[child].Tasks, p, m.children[child].Tasks, p, true, add)
 	for s := 0; s < step; s++ {
-		m.addFlows(m.children[order[s]].Tasks, st.pos[s], m.children[child].Tasks, p, dst, false)
+		m.eachFlow(m.children[order[s]].Tasks, st.pos[s], m.children[child].Tasks, p, false, add)
 	}
 }
 
@@ -1078,7 +1050,7 @@ func (m *merger) scoreStep(beam []*state, sl *stepLayout, crossEdges []crossEdge
 		dv := ws[w].dv
 		refPos[g] = m.placement(child, m.children[child].Candidates[g/len(m.orients)], m.orients[g%len(m.orients)])
 		dv.Reset()
-		m.addFlowsDelta(tasks, refPos[g], tasks, refPos[g], dv, true)
+		m.addInternalDelta(tasks, refPos[g], dv)
 		snaps[g] = dv.Snapshot()
 	})
 
@@ -1174,7 +1146,7 @@ func (m *merger) materialize(beam []*state, sl *stepLayout, combos []combo, step
 		p := m.placementAt(sl.child, cand, m.orients[sc.orient], int(sc.cube))
 		loads := append([]float64(nil), st.loads...)
 		dv.Reset()
-		m.addFlowsDelta(tasks, p, tasks, p, dv, true)
+		m.addInternalDelta(tasks, p, dv)
 		m.addCrossEdgesBounded(crossEdges, st, p, dv, math.Inf(1))
 		dv.AddTo(loads)
 		next = append(next, extend(st, step, p, sc, loads))

@@ -32,7 +32,9 @@ func oracleMerge(t *testing.T, g *graph.Comm, children []*Block, cubeShape, chil
 	// buf: internal flows, then cross flows in crossEdgesFor order.
 	dense := func(st *state, tasks, p []int, edges []crossEdge) {
 		clear(buf)
-		m.addFlows(tasks, p, tasks, p, buf, true)
+		m.eachFlow(tasks, p, tasks, p, true, func(a, b int, vol float64) {
+			m.alg.AddLoads(m.parent, a, b, vol, buf)
+		})
 		m.addCrossEdges(edges, st, p, buf)
 	}
 	for step, child := range order {
@@ -77,8 +79,8 @@ func (m *merger) oracleOrder() []int {
 		for oi := 0; oi < in.ko; oi++ {
 			for oj := 0; oj < in.ko; oj++ {
 				clear(buf)
-				in.snaps[p.i][oi].AddSnapshotTo(buf, 0)
-				in.snaps[p.j][oj].AddSnapshotTo(buf, 0)
+				addSnapshotTo(buf, in.snaps[p.i][oi])
+				addSnapshotTo(buf, in.snaps[p.j][oj])
 				for _, e := range in.edges[pi] {
 					a, b := in.pl[p.i][oi][e.ai], in.pl[p.j][oj][e.bi]
 					if e.fromJ {
@@ -94,6 +96,13 @@ func (m *merger) oracleOrder() []int {
 		best[pi] = bst
 	}
 	return m.rankChildren(in, best)
+}
+
+// addSnapshotTo replays a snapshot's deltas into a dense load vector.
+func addSnapshotTo(loads []float64, s routing.Snapshot) {
+	for i, ch := range s.Ch {
+		loads[ch] += s.Val[i]
+	}
 }
 
 // addCrossEdges routes the step's cross flows for the child placed at cp

@@ -22,15 +22,15 @@ package routing
 // the base vector and its maximum, and every Add folds base[ch]+delta[ch]
 // into the peak. Deposits are non-negative and IEEE addition is monotone,
 // so the peak after any prefix of a candidate's deposits is a lower bound on
-// its final score, and once all deposits are in it equals MaxOver bit for
-// bit. The merger abandons a candidate as soon as that bound shows it cannot
+// its final score, and once all deposits are in it equals that score bit
+// for bit. The merger abandons a candidate as soon as that bound shows it cannot
 // survive the beam cutoff.
 //
-// MinimalAdaptive.AddLoadsDelta mirrors AddLoads exactly — same direction
-// and tie handling, same stencil-cache decisions, same DP, same deposit
-// order — so for any flow the per-channel totals accumulated into a DeltaVec
-// are bit-identical to the totals the dense path accumulates from a zeroed
-// vector. Delta evaluation is therefore byte-exact against a full
+// MinimalAdaptive.AddLoadsDelta mirrors AddLoads exactly — the same flow
+// prelude (directions, ties, stencil), the same stencil, the same deposit
+// order — so for any flow the per-channel totals accumulated into a
+// DeltaVec are bit-identical to the totals the dense path accumulates from
+// a zeroed vector. Delta evaluation is therefore byte-exact against a full
 // recomputation, not merely approximately equal.
 
 import (
@@ -68,12 +68,13 @@ func NewDeltaVec(n int) *DeltaVec {
 func (v *DeltaVec) Size() int { return len(v.vals) }
 
 // Reset forgets all accumulated deltas in O(1) and scores the peak against
-// an all-zero base with floor 0, so Peak tracks Max.
+// an all-zero base with floor 0, so Peak tracks the largest delta.
 func (v *DeltaVec) Reset() { v.ResetOver(v.zero, 0) }
 
 // ResetOver forgets all accumulated deltas and scores the peak against base
 // (one value per channel; read, never written) starting from floor, which
-// should be the maximum of base. Peak then tracks MaxOver(base, floor).
+// should be the maximum of base. Peak then tracks the score
+// max(floor, max over touched ch of base[ch]+delta[ch]).
 func (v *DeltaVec) ResetOver(base []float64, floor float64) {
 	v.gen++
 	v.touched = v.touched[:0]
@@ -98,8 +99,8 @@ func (v *DeltaVec) Add(ch int, x float64) {
 
 // Peak returns the running maximum of the floor and base[ch]+delta[ch] over
 // the deposits since the last reset. With non-negative deposits it never
-// exceeds the final score, and it equals MaxOver(base, floor) — Max after a
-// plain Reset — bit for bit once every deposit has been added.
+// exceeds the final score, and it equals that score bit for bit once every
+// deposit has been added.
 func (v *DeltaVec) Peak() float64 { return v.peak }
 
 // Value returns the accumulated delta on ch (0 when untouched).
@@ -108,38 +109,6 @@ func (v *DeltaVec) Value(ch int) float64 {
 		return 0
 	}
 	return v.vals[ch]
-}
-
-// Touched returns the channels with accumulated deltas, in first-touch
-// order. The slice is owned by the DeltaVec and valid until the next Reset.
-func (v *DeltaVec) Touched() []int32 { return v.touched }
-
-// NumTouched returns how many distinct channels hold deltas.
-func (v *DeltaVec) NumTouched() int { return len(v.touched) }
-
-// Max returns the maximum accumulated delta (0 when nothing was touched,
-// matching MCL of an otherwise-zero load vector).
-func (v *DeltaVec) Max() float64 {
-	max := 0.0
-	for _, ch := range v.touched {
-		if x := v.vals[ch]; x > max {
-			max = x
-		}
-	}
-	return max
-}
-
-// MaxOver returns max(baseMCL, max over touched ch of base[ch]+delta[ch]) —
-// the MCL of base with the deltas applied, exact when baseMCL == MCL(base)
-// and all deltas are non-negative.
-func (v *DeltaVec) MaxOver(base []float64, baseMCL float64) float64 {
-	max := baseMCL
-	for _, ch := range v.touched {
-		if x := base[ch] + v.vals[ch]; x > max {
-			max = x
-		}
-	}
-	return max
 }
 
 // AddTo adds the accumulated deltas into the dense vector loads.
@@ -179,50 +148,24 @@ func (v *DeltaVec) AddSnapshot(s Snapshot, chOff int) {
 	}
 }
 
-// AddSnapshotTo replays a snapshot into a dense load vector with every
-// channel id shifted by chOff.
-func (s Snapshot) AddSnapshotTo(loads []float64, chOff int) {
-	for i, ch := range s.Ch {
-		loads[int(ch)+chOff] += s.Val[i]
-	}
-}
-
 // AddLoadsDelta is AddLoads depositing into a DeltaVec instead of a dense
-// vector. For a given flow it makes exactly the stencil-cache decisions and
-// deposits exactly the values, in the same order, as AddLoads would into a
-// zeroed dense vector, so sparse and dense evaluation agree bit-for-bit.
+// vector. For a given flow it routes through the same stencil and deposits
+// exactly the values, in the same order, as AddLoads would into a zeroed
+// dense vector, so sparse and dense evaluation agree bit-for-bit.
 // A negative vol subtracts. Safe for concurrent use with distinct DeltaVecs.
 func (a MinimalAdaptive) AddLoadsDelta(t *topology.Torus, src, dst int, vol float64, dv *DeltaVec) {
 	if src == dst || vol == 0 {
 		return
 	}
-	nd := t.NumDims()
-	sc := getScratch(nd)
+	sc := getScratch(t.NumDims())
 	defer putScratch(sc)
-	cs := t.CoordOf(src, sc.cs)
-	cd := t.CoordOf(dst, sc.cd)
-	numCombos := prepareDirs(t, cs, cd, sc)
+	s, numCombos := sc.prepareFlow(t, src, dst)
 	comboVol := vol / float64(numCombos)
 	for mask := 0; mask < numCombos; mask++ {
 		sc.setCombo(mask)
-		a.routeBoxDelta(t, cs, sc.dirs, sc.dists, comboVol, dv, sc)
+		s.applyDelta(t, sc.cs, sc.dirs, comboVol, dv, sc)
 	}
 	sc.flushStencil(a)
-}
-
-// routeBoxDelta is routeBox with a DeltaVec sink: stencil cache when the
-// displacement is cacheable, direct DP otherwise, with the same hit/miss
-// accounting.
-func (a MinimalAdaptive) routeBoxDelta(t *topology.Torus, cs, dirs, dists []int, vol float64, dv *DeltaVec, sc *scratch) {
-	if !a.DisableCache {
-		if s := sc.stencilFor(dists); s != nil {
-			sc.nhits++
-			s.applyDelta(t, cs, dirs, vol, dv, sc)
-			return
-		}
-	}
-	sc.nmisses++
-	addMinimalBoxLoadsDelta(t, cs, dirs, dists, vol, dv, sc)
 }
 
 // applyDelta is stencil.apply depositing into a DeltaVec.
@@ -245,63 +188,5 @@ func (s *stencil) applyDelta(t *topology.Torus, cs, dirs []int, vol float64, dv 
 			dv.Add(nodeCh+chanOff[s.dims[ei]], s.fracs[ei]*vol)
 			ei++
 		}
-	}
-}
-
-// addMinimalBoxLoadsDelta is addMinimalBoxLoads depositing into a DeltaVec.
-func addMinimalBoxLoadsDelta(t *topology.Torus, cs []int, dirs, dists []int, vol float64, dv *DeltaVec, sc *scratch) {
-	nd := t.NumDims()
-	total := 1
-	shape := sc.shape
-	for d := 0; d < nd; d++ {
-		shape[d] = dists[d] + 1
-		total *= shape[d]
-	}
-	strides := sc.strides
-	s := 1
-	for d := nd - 1; d >= 0; d-- {
-		strides[d] = s
-		s *= shape[d]
-	}
-
-	p := sc.floats(total)
-	p[0] = vol
-	u := sc.u
-	for d := range u {
-		u[d] = 0
-	}
-	coord := sc.coord
-	for idx := 0; idx < total; idx++ {
-		pu := p[idx]
-		if pu == 0 {
-			incOffset(u, shape)
-			continue
-		}
-		remain := 0
-		for d := 0; d < nd; d++ {
-			remain += dists[d] - u[d]
-		}
-		if remain > 0 {
-			for d := 0; d < nd; d++ {
-				k := t.Dim(d)
-				if dirs[d] == topology.Plus {
-					coord[d] = (cs[d] + u[d]) % k
-				} else {
-					coord[d] = ((cs[d]-u[d])%k + k) % k
-				}
-			}
-			node := t.RankOf(coord)
-			inv := pu / float64(remain)
-			for d := 0; d < nd; d++ {
-				left := dists[d] - u[d]
-				if left == 0 {
-					continue
-				}
-				frac := inv * float64(left)
-				dv.Add(t.ChannelID(node, d, dirs[d]), frac)
-				p[idx+strides[d]] += frac
-			}
-		}
-		incOffset(u, shape)
 	}
 }

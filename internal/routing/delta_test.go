@@ -83,7 +83,11 @@ func TestDeltaVecSnapshotTranslate(t *testing.T) {
 // per-channel totals deposited by AddLoadsDelta are bit-identical (==, not
 // approximately equal) to the totals AddLoads deposits into a zeroed dense
 // vector. Covers wrap ties (torus distance exactly k/2), mesh dimensions,
-// and the cache-disabled direct DP.
+// and a 600-node ring whose longer flows exceed the stencil key's distance
+// bound, so the cache refuses their boxes. The "direct" arm runs first with
+// the cache's cell budget full, so every box the cache does not already
+// hold is routed by an uncached stencil; the "cached" arm then publishes
+// and reuses them.
 func TestAddLoadsDeltaBitwise(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -93,14 +97,16 @@ func TestAddLoadsDeltaBitwise(t *testing.T) {
 		{"mesh-5x3", topology.NewMesh(5, 3)},
 		{"torus-4x4x4", topology.NewTorus(4, 4, 4)},
 		{"torus-4x4x4x4x2", topology.NewTorus(4, 4, 4, 4, 2)},
+		{"ring-600", topology.NewTorus(600)},
 	}
-	for _, alg := range []MinimalAdaptive{{}, {DisableCache: true}} {
-		name := "cached"
-		if alg.DisableCache {
-			name = "direct"
+	alg := MinimalAdaptive{}
+	for _, arm := range []string{"direct", "cached"} {
+		release := func() {}
+		if arm == "direct" {
+			release = fillStencilBudget()
 		}
 		for _, sh := range shapes {
-			t.Run(name+"/"+sh.name, func(t *testing.T) {
+			t.Run(arm+"/"+sh.name, func(t *testing.T) {
 				topo := sh.topo
 				rng := rand.New(rand.NewSource(7))
 				n := topo.N()
@@ -137,6 +143,37 @@ func TestAddLoadsDeltaBitwise(t *testing.T) {
 					}
 				}
 			})
+		}
+		release()
+	}
+}
+
+// TestRefusedBoxNoAllocs pins that a box the cache refuses — a 600-node
+// ring flow over 280 hops, past the key's distance bound — is routed
+// through the scratch-owned stencil without allocating once warm, in both
+// sinks. The race detector makes sync.Pool drop entries, so the check runs
+// only in normal builds.
+func TestRefusedBoxNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	tp := topology.NewTorus(600)
+	if _, ok := stencilKey([]int{280}); ok {
+		t.Fatal("280 hops must exceed the stencil key's distance bound")
+	}
+	alg := MinimalAdaptive{}
+	loads := make([]float64, tp.NumChannels())
+	dv := NewDeltaVec(tp.NumChannels())
+	for name, fn := range map[string]func(){
+		"AddLoads": func() { alg.AddLoads(tp, 0, 280, 1, loads) },
+		"AddLoadsDelta": func() {
+			dv.Reset()
+			alg.AddLoadsDelta(tp, 0, 280, 1, dv)
+		},
+	} {
+		fn()
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s: %v allocs/op on a refused box, want 0", name, allocs)
 		}
 	}
 }

@@ -4,11 +4,11 @@ package routing
 //
 // Phase 2's exhaustive solver scores every placement of a cube of at most
 // eight nodes. Routing each flow from scratch repeats the same work per
-// placement — scratch get/put, CoordOf, prepareDirs, a stencil lookup and
-// fillChanTab — although a tiny cube has at most 56 ordered node pairs. A
-// PairTable does that work once per pair and records the resulting deposit
-// sequence, so scoring a placement becomes a walk over precomputed
-// (channel, fraction) entries.
+// placement — scratch get/put, CoordOf, prepareFlow with its stencil
+// lookup, and fillChanTab — although a tiny cube has at most 56 ordered
+// node pairs. A PairTable does that work once per pair and records the
+// resulting deposit sequence, so scoring a placement becomes a walk over
+// precomputed (channel, fraction) entries.
 
 import (
 	"rahtm/internal/topology"
@@ -16,7 +16,7 @@ import (
 
 // PairTable holds, for every ordered node pair (a, b) of a topology, the
 // exact deposit sequence MinimalAdaptive.AddLoads makes for a flow from a
-// to b: every direction combination prepareDirs admits, in mask order,
+// to b: every direction combination prepareFlow admits, in mask order,
 // each contributing its stencil's cells in stencil order. An entry is a
 // channel id and the unit fraction the stencil deposits there. Replay
 // divides the volume by the pair's combination count and adds frac*cv per
@@ -36,11 +36,9 @@ type PairTable struct {
 	frac []float64
 }
 
-// PairTable builds the deposit table of t. Its stencil lookups are
-// accounted like AddLoads calls (to a's scope when a is scoped). A
-// displacement the stencil cache refuses is built uncached with the same
-// DP, so the table never falls back to the direct DP; DisableCache has no
-// effect on it.
+// PairTable builds the deposit table of t through the same flow prelude as
+// AddLoads. Its stencil lookups are accounted like AddLoads calls (to a's
+// scope when a is scoped).
 func (a MinimalAdaptive) PairTable(t *topology.Torus) *PairTable {
 	n := t.N()
 	pt := &PairTable{
@@ -51,23 +49,14 @@ func (a MinimalAdaptive) PairTable(t *topology.Torus) *PairTable {
 	sc := getScratch(t.NumDims())
 	defer putScratch(sc)
 	for src := 0; src < n; src++ {
-		cs := t.CoordOf(src, sc.cs)
 		for dst := 0; dst < n; dst++ {
 			combos := 1
 			if dst != src {
-				cd := t.CoordOf(dst, sc.cd)
-				sc.ties = sc.ties[:0]
-				combos = prepareDirs(t, cs, cd, sc)
+				var s *stencil
+				s, combos = sc.prepareFlow(t, src, dst)
 				for mask := 0; mask < combos; mask++ {
 					sc.setCombo(mask)
-					s := sc.stencilFor(sc.dists)
-					if s != nil {
-						sc.nhits++
-					} else {
-						sc.nmisses++
-						s = buildStencil(sc.dists)
-					}
-					pt.ch, pt.frac = s.appendDeposits(t, cs, sc.dirs, pt.ch, pt.frac, sc)
+					pt.ch, pt.frac = s.appendDeposits(t, sc.cs, sc.dirs, pt.ch, pt.frac, sc)
 				}
 			}
 			pt.div[src*n+dst] = float64(combos)

@@ -34,17 +34,13 @@ type Algorithm interface {
 }
 
 // MinimalAdaptive is the balanced all-minimal-paths oblivious approximation
-// of BG/Q's minimal adaptive routing. The zero value is ready to use, and
-// routes through a process-wide displacement-stencil cache (see stencil.go)
-// that memoizes the translation-invariant per-channel load fractions of
-// each distance vector. The cache is safe for concurrent use.
+// of BG/Q's minimal adaptive routing. The zero value is ready to use. Every
+// box of every flow is routed through a displacement stencil (see
+// stencil.go) — the translation-invariant per-channel load fractions of its
+// distance vector — memoized in a process-wide cache; a box the cache
+// cannot hold uses a stencil built for it alone, so results never depend on
+// the cache's state. It is safe for concurrent use.
 type MinimalAdaptive struct {
-	// DisableCache bypasses the displacement-stencil cache and the pooled
-	// scratch fast path, recomputing every flow with the direct DP. Cached
-	// and direct results agree up to floating-point rounding; the switch
-	// exists for A/B validation and benchmarking.
-	DisableCache bool
-
 	// hits/misses, when set by WithScope, receive the stencil-cache
 	// accounting instead of the process-wide counters, attributing the
 	// evaluator's work to one request.
@@ -77,26 +73,30 @@ func (a MinimalAdaptive) AddLoads(t *topology.Torus, src, dst int, vol float64, 
 	}
 	sc := getScratch(t.NumDims())
 	defer putScratch(sc)
-	cs := t.CoordOf(src, sc.cs)
-	cd := t.CoordOf(dst, sc.cd)
-	numCombos := prepareDirs(t, cs, cd, sc)
+	s, numCombos := sc.prepareFlow(t, src, dst)
 	comboVol := vol / float64(numCombos)
 	for mask := 0; mask < numCombos; mask++ {
 		sc.setCombo(mask)
-		a.routeBox(t, cs, sc.dirs, sc.dists, comboVol, loads, sc)
+		s.apply(t, sc.cs, sc.dirs, comboVol, loads, sc)
 	}
 	sc.flushStencil(a)
 }
 
-// prepareDirs fills sc.dirs/sc.dists with the per-dimension minimal
-// direction choices for the flow cs→cd and records tied dimensions in
+// prepareFlow is the flow prelude shared by AddLoads, AddLoadsDelta and
+// PairTable, so their routing decisions cannot drift apart. It writes the
+// endpoint coordinates of src→dst to sc.cs/sc.cd, the per-dimension minimal
+// direction choices to sc.dirs/sc.dists, and the tied dimensions to
 // sc.ties. Ties (torus distance exactly k/2) admit both directions; every
 // combination of choices contributes the same number of minimal paths, so
-// combinations weigh equally. Returns the number of direction combinations
-// (2^len(ties)). Shared by the dense (AddLoads) and sparse (AddLoadsDelta)
-// evaluators so their routing decisions cannot drift apart.
-func prepareDirs(t *topology.Torus, cs, cd []int, sc *scratch) int {
-	dirs, dists := sc.dirs, sc.dists
+// combinations weigh equally. It returns the flow's stencil and the number
+// of direction combinations (2^len(ties)). Each combination is one box; all
+// share the distance vector and so the stencil, and each counts one
+// stencil-cache hit or miss.
+func (sc *scratch) prepareFlow(t *topology.Torus, src, dst int) (*stencil, int) {
+	sc.cs = t.CoordOf(src, sc.cs)
+	sc.cd = t.CoordOf(dst, sc.cd)
+	sc.ties = sc.ties[:0]
+	cs, cd, dirs, dists := sc.cs, sc.cd, sc.dirs, sc.dists
 	numCombos := 1
 	for d := 0; d < t.NumDims(); d++ {
 		dirs[d], dists[d] = 0, 0
@@ -127,11 +127,18 @@ func prepareDirs(t *topology.Torus, cs, cd []int, sc *scratch) int {
 			numCombos *= 2
 		}
 	}
-	return numCombos
+	s, hit := sc.stencilFor(dists)
+	if hit {
+		sc.nhits += int64(numCombos)
+	} else {
+		sc.nmisses += int64(numCombos)
+	}
+	return s, numCombos
 }
 
-// setCombo points sc.dirs at direction combination mask of the tied
-// dimensions prepareDirs recorded: bit b of mask sends tie b Minus.
+// setCombo is the box step: it points sc.dirs at direction combination
+// mask of the tied dimensions prepareFlow recorded. Bit b of mask sends
+// tie b Minus.
 func (sc *scratch) setCombo(mask int) {
 	for b, d := range sc.ties {
 		if mask&(1<<uint(b)) == 0 {
@@ -139,98 +146,6 @@ func (sc *scratch) setCombo(mask int) {
 		} else {
 			sc.dirs[d] = topology.Minus
 		}
-	}
-}
-
-// routeBox deposits one direction-combination's loads, through the stencil
-// cache when the displacement is cacheable and the cache has room, and
-// through the direct DP otherwise. Every box counts as a stencil-cache hit
-// or miss (boxes routed with DisableCache count as misses: the cache did
-// not serve them).
-func (a MinimalAdaptive) routeBox(t *topology.Torus, cs, dirs, dists []int, vol float64, loads []float64, sc *scratch) {
-	if !a.DisableCache {
-		if s := sc.stencilFor(dists); s != nil {
-			sc.nhits++
-			s.apply(t, cs, dirs, vol, loads, sc)
-			return
-		}
-	}
-	sc.nmisses++
-	addMinimalBoxLoads(t, cs, dirs, dists, vol, loads, sc)
-}
-
-// addMinimalBoxLoads runs the proportional-split DP over the minimal box
-// defined by the source coordinate, the per-dimension travel directions and
-// distances, adding channel loads for vol units of flow. sc supplies the
-// working storage; pass a fresh scratch when calling outside the pool.
-func addMinimalBoxLoads(t *topology.Torus, cs []int, dirs, dists []int, vol float64, loads []float64, sc *scratch) {
-	nd := t.NumDims()
-	// Box shape and local strides (row-major, last dim fastest).
-	total := 1
-	shape := sc.shape
-	for d := 0; d < nd; d++ {
-		shape[d] = dists[d] + 1
-		total *= shape[d]
-	}
-	strides := sc.strides
-	s := 1
-	for d := nd - 1; d >= 0; d-- {
-		strides[d] = s
-		s *= shape[d]
-	}
-
-	p := sc.floats(total)
-	p[0] = vol
-	u := sc.u
-	for d := range u {
-		u[d] = 0
-	}
-	coord := sc.coord
-	for idx := 0; idx < total; idx++ {
-		pu := p[idx]
-		if pu == 0 {
-			// Still need to advance the offset counter.
-			incOffset(u, shape)
-			continue
-		}
-		remain := 0
-		for d := 0; d < nd; d++ {
-			remain += dists[d] - u[d]
-		}
-		if remain > 0 {
-			// Torus rank of the node at offset u.
-			for d := 0; d < nd; d++ {
-				k := t.Dim(d)
-				if dirs[d] == topology.Plus {
-					coord[d] = (cs[d] + u[d]) % k
-				} else {
-					coord[d] = ((cs[d]-u[d])%k + k) % k
-				}
-			}
-			node := t.RankOf(coord)
-			inv := pu / float64(remain)
-			for d := 0; d < nd; d++ {
-				left := dists[d] - u[d]
-				if left == 0 {
-					continue
-				}
-				frac := inv * float64(left)
-				loads[t.ChannelID(node, d, dirs[d])] += frac
-				p[idx+strides[d]] += frac
-			}
-		}
-		incOffset(u, shape)
-	}
-}
-
-// incOffset advances a mixed-radix counter (row-major, last dim fastest).
-func incOffset(u, shape []int) {
-	for d := len(u) - 1; d >= 0; d-- {
-		u[d]++
-		if u[d] < shape[d] {
-			return
-		}
-		u[d] = 0
 	}
 }
 

@@ -1,20 +1,24 @@
 package routing
 
-// Displacement-stencil cache for the minimal-adaptive evaluator.
+// Displacement stencils: the only implementation of the minimal-adaptive
+// DP.
 //
-// The proportional-split DP of addMinimalBoxLoads distributes a flow over
-// the minimal box spanned by its per-dimension travel distances. The load
-// *fraction* deposited on each channel of that box depends only on the
-// distance vector — it is invariant under translation of the source, under
-// the travel directions (the box is mirror-symmetric), and under the
-// topology the box is embedded in. The stencil for a distance vector is
-// therefore computed once — a list of (cell offset, dimension, fraction)
-// triples normalized to unit volume — and applied to any concrete flow by
-// translating cell offsets from the flow's source coordinate and scaling by
-// its volume. This turns the per-flow DP (allocate + fill an O(box) flow
-// array) into a linear walk over precomputed fractions, which is what the
-// Phase 3 merge scorers and the annealing incremental evaluator spend most
-// of their time in.
+// The proportional-split DP distributes a flow over the minimal box spanned
+// by its per-dimension travel distances. The load *fraction* deposited on
+// each channel of that box depends only on the distance vector — it is
+// invariant under translation of the source, under the travel directions
+// (the box is mirror-symmetric), and under the topology the box is embedded
+// in. buildStencil runs the DP once per distance vector with unit volume,
+// recording a list of (cell offset, dimension, fraction) triples; every box
+// of every flow is then routed by translating the cell offsets from the
+// flow's source coordinate and scaling by its volume. This turns the
+// per-flow DP (fill an O(box) flow array) into a linear walk over
+// precomputed fractions, which is what the Phase 3 merge scorers and the
+// annealing incremental evaluator spend most of their time in.
+//
+// Stencils are memoized in a process-wide cache bounded by maxStencilCells.
+// A box the cache cannot hold gets a stencil built for it alone, by the
+// same DP, so the bits a box deposits never depend on the cache's state.
 
 import (
 	"sync"
@@ -30,16 +34,16 @@ const (
 	// maxStencilDist bounds each per-dimension distance a key can encode.
 	maxStencilDist = 255
 	// maxStencilCells bounds the total cells held by the cache (~48 bytes
-	// per cell); displacement vectors beyond the budget are routed by the
-	// direct DP.
+	// per cell); a box whose stencil would exceed the budget is routed by a
+	// stencil built for it alone and not kept.
 	maxStencilCells = 1 << 20
 )
 
 // stencil is the unit-volume channel-load pattern of one displacement,
 // stored flat: cell c occupies offs[c*nd : (c+1)*nd] and owns cnt[c]
 // consecutive (dims, fracs) entries. Cells appear in the DP's visit order,
-// so applying a stencil deposits loads in exactly the order the direct DP
-// would, keeping results reproducible run to run.
+// and every box is routed through a stencil, so a flow's deposits happen in
+// the same order whatever the cache holds.
 //
 // offs holds table indices, not raw box offsets: the entry for cell c,
 // dimension d is tabOff(d)+u where u is the cell's box offset along d and
@@ -100,10 +104,11 @@ var (
 // counter in the process — so the per-box path increments plain ints on the
 // scratch and flushStencil drains them once per AddLoads/AddLoadsDelta call
 // through striped local handles (claimed in the pool's New func; sync.Pool's
-// per-P affinity spreads the stripes across CPUs). Builds and evictions are
-// rare and use the counters directly. "Evictions" counts stencils that were
-// built and then discarded: cell-budget rejections and lost publication
-// races.
+// per-P affinity spreads the stripes across CPUs). A hit is a box served by
+// a published stencil; a miss is a box served by an unpublished one (its key
+// does not fit or the cell budget is full). Builds and evictions are rare
+// and use the counters directly: builds counts stencils built for
+// publication, evictions the ones that lost a publication race.
 var (
 	ctrStencilHits      = telemetry.Default.Counter(telemetry.CtrStencilHits)
 	ctrStencilMisses    = telemetry.Default.Counter(telemetry.CtrStencilMisses)
@@ -127,89 +132,113 @@ func stencilKey(dists []int) (key uint64, ok bool) {
 	return key, true
 }
 
-// stencilFor returns the cached stencil for dists, building and publishing
-// it on first use. It returns nil when the cache budget is exhausted and the
-// stencil is not already present.
-func stencilFor(dists []int) *stencil {
-	key, ok := stencilKey(dists)
-	if !ok {
-		return nil
+// boxCells returns the number of cells a stencil of dists holds — every
+// cell of the minimal box but the destination — saturated just above
+// maxStencilCells, so the budget can be checked before building.
+func boxCells(dists []int) int64 {
+	n := int64(1)
+	for _, x := range dists {
+		n *= int64(x) + 1
+		if n > maxStencilCells {
+			return maxStencilCells + 1
+		}
 	}
-	return stencilForKey(key, dists)
+	return n - 1
 }
 
-// stencilFor is stencilFor fronted by the scratch's direct-mapped memo.
+// stencilFor returns the stencil of dists and whether it is published (a
+// cache hit). It looks in the scratch's direct-mapped memo, then in the
+// process-wide cache, and otherwise builds the stencil, publishing it when
+// the key fits and the cell budget has room. A stencil that cannot be
+// published is built into the scratch-owned sc.own, reusing its storage.
+// Every path runs the same DP, so a box's deposits never depend on the
+// cache's state.
+//
 // Merge scoring routes millions of boxes drawn from a few hundred distinct
 // displacement vectors, so the interface-hashing sync.Map lookup is
 // measurable; the memo turns the common repeat into two array reads.
-// Stencils are immutable and never unpublished once returned, so memo
-// entries cannot go stale.
-func (sc *scratch) stencilFor(dists []int) *stencil {
+// Published stencils are immutable and never unpublished, so memo entries
+// cannot go stale.
+func (sc *scratch) stencilFor(dists []int) (*stencil, bool) {
 	key, ok := stencilKey(dists)
 	if !ok {
-		return nil
+		return buildStencil(&sc.own, dists, sc), false
 	}
 	// Fibonacci-hash the key into a slot; keys are nonzero (they encode
 	// the dimension count), so the zero-initialized memo never false-hits.
 	slot := (key * 0x9e3779b97f4a7c15) >> (64 - stencilMemoBits)
 	if sc.memoKey[slot] == key {
-		return sc.memoVal[slot]
+		return sc.memoVal[slot], true
 	}
-	s := stencilForKey(key, dists)
-	if s != nil {
-		sc.memoKey[slot] = key
-		sc.memoVal[slot] = s
-	}
-	return s
-}
-
-func stencilForKey(key uint64, dists []int) *stencil {
+	var s *stencil
 	if v, ok := stencilCache.Load(key); ok {
-		return v.(*stencil)
+		s = v.(*stencil)
+	} else {
+		cells := boxCells(dists)
+		if stencilCells.Add(cells) > maxStencilCells {
+			stencilCells.Add(-cells)
+			return buildStencil(&sc.own, dists, sc), false
+		}
+		s = buildStencil(new(stencil), dists, sc)
+		ctrStencilBuilds.Inc()
+		if prev, lost := stencilCache.LoadOrStore(key, s); lost {
+			// Another builder published first: return the cells and use
+			// the published copy, which holds the same bits. The box
+			// counts as a hit either way, so the hit count never depends
+			// on worker timing.
+			stencilCells.Add(-cells)
+			ctrStencilEvictions.Inc()
+			s = prev.(*stencil)
+		}
 	}
-	s := buildStencil(dists)
-	ctrStencilBuilds.Inc()
-	if stencilCells.Add(int64(s.cells)) > maxStencilCells {
-		stencilCells.Add(-int64(s.cells))
-		ctrStencilEvictions.Inc()
-		return nil
-	}
-	if prev, loaded := stencilCache.LoadOrStore(key, s); loaded {
-		// Lost a build race; keep the published copy and return the cells.
-		stencilCells.Add(-int64(s.cells))
-		ctrStencilEvictions.Inc()
-		return prev.(*stencil)
-	}
-	return s
+	sc.memoKey[slot] = key
+	sc.memoVal[slot] = s
+	return s, true
 }
 
-// buildStencil runs the proportional-split DP once with unit volume,
-// recording per-cell fractions instead of depositing channel loads.
-func buildStencil(dists []int) *stencil {
+// buildStencil runs the proportional-split DP once with unit volume into
+// st, recording per-cell fractions instead of depositing channel loads, and
+// returns st. It reuses st's slices when they are large enough; sc supplies
+// the DP's working storage.
+func buildStencil(st *stencil, dists []int, sc *scratch) *stencil {
 	nd := len(dists)
 	total := 1
-	shape := make([]int, nd)
+	shape := sc.shape
 	for d := 0; d < nd; d++ {
 		shape[d] = dists[d] + 1
 		total *= shape[d]
 	}
-	strides := make([]int, nd)
+	strides := sc.strides
 	s := 1
 	for d := nd - 1; d >= 0; d-- {
 		strides[d] = s
 		s *= shape[d]
 	}
-
-	st := &stencil{nd: nd, shape: make([]int32, nd)}
-	tabOff := make([]int32, nd)
+	// Every cell but the destination deposits, once per dimension it still
+	// has to travel: the entries along d number dists[d]*(total/shape[d]).
+	entries := 0
 	for d := 0; d < nd; d++ {
-		st.shape[d] = int32(shape[d])
-		tabOff[d] = int32(st.tabLen)
+		entries += dists[d] * (total / shape[d])
+	}
+	st.nd, st.cells, st.tabLen = nd, 0, 0
+	st.shape = reuse(st.shape, nd)
+	st.offs = reuse(st.offs, (total-1)*nd)
+	st.cnt = reuse(st.cnt, total-1)
+	st.dims = reuse(st.dims, entries)
+	st.fracs = reuse(st.fracs, entries)
+	tabOff := sc.tabOff
+	for d := 0; d < nd; d++ {
+		st.shape = append(st.shape, int32(shape[d]))
+		tabOff[d] = st.tabLen
 		st.tabLen += shape[d]
 	}
-	p := make([]float64, total)
+
+	p := sc.floats(total)
 	p[0] = 1
-	u := make([]int, nd)
+	u := sc.u
+	for d := range u {
+		u[d] = 0
+	}
 	for idx := 0; idx < total; idx++ {
 		pu := p[idx]
 		if pu == 0 {
@@ -223,7 +252,7 @@ func buildStencil(dists []int) *stencil {
 		if remain > 0 {
 			st.cells++
 			for d := 0; d < nd; d++ {
-				st.offs = append(st.offs, tabOff[d]+int32(u[d]))
+				st.offs = append(st.offs, int32(tabOff[d]+u[d]))
 			}
 			n := int32(0)
 			inv := pu / float64(remain)
@@ -245,9 +274,29 @@ func buildStencil(dists []int) *stencil {
 	return st
 }
 
+// incOffset advances a mixed-radix counter (row-major, last dim fastest).
+func incOffset(u, shape []int) {
+	for d := len(u) - 1; d >= 0; d-- {
+		u[d]++
+		if u[d] < shape[d] {
+			return
+		}
+		u[d] = 0
+	}
+}
+
+// reuse returns s emptied, with room for n elements: s itself when its
+// capacity suffices, a fresh slice otherwise.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
 // apply translates the stencil to a concrete flow: source coordinate cs,
 // travel directions dirs, vol units of traffic. sc supplies the channel-base
-// table storage. Deposit order matches the direct DP exactly.
+// table storage. Deposits follow the stencil's cell order.
 func (s *stencil) apply(t *topology.Torus, cs, dirs []int, vol float64, loads []float64, sc *scratch) {
 	nd := s.nd
 	tab := sc.ints(s.tabLen)
@@ -295,12 +344,15 @@ func (s *stencil) appendDeposits(t *topology.Torus, cs, dirs []int, chs []int32,
 }
 
 // scratch holds the per-call working storage of MinimalAdaptive.AddLoads,
-// recycled through a pool so the hot evaluators (merge scorers, annealing
-// swaps) do not allocate per flow.
+// AddLoadsDelta and PairTable, recycled through a pool so the hot
+// evaluators (merge scorers, annealing swaps) do not allocate per flow.
 type scratch struct {
-	cs, cd, dirs, dists, coord, ties []int
-	shape, strides, u                []int
-	p                                []float64
+	cs, cd, dirs, dists, ties []int
+	// shape, strides, u, tabOff and p are buildStencil's working storage;
+	// own holds the stencil of a box the cache does not serve.
+	shape, strides, u, tabOff []int
+	p                         []float64
+	own                       stencil
 	// tab holds a stencil's per-flow channel-base table; chanOff holds the
 	// per-dimension channel-id remainder 2*d+dirs[d] for the current flow.
 	tab, chanOff []int
@@ -364,12 +416,11 @@ func getScratch(nd int) *scratch {
 	sc.cd = grow(sc.cd, nd)
 	sc.dirs = grow(sc.dirs, nd)
 	sc.dists = grow(sc.dists, nd)
-	sc.coord = grow(sc.coord, nd)
 	sc.shape = grow(sc.shape, nd)
 	sc.strides = grow(sc.strides, nd)
 	sc.u = grow(sc.u, nd)
+	sc.tabOff = grow(sc.tabOff, nd)
 	sc.chanOff = grow(sc.chanOff, nd)
-	sc.ties = sc.ties[:0]
 	return sc
 }
 

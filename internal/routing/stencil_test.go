@@ -26,9 +26,10 @@ func randomGraph(n int, seed int64) *graph.Comm {
 	return g
 }
 
-// TestStencilCacheEquivalence checks that the displacement-stencil cache
-// reproduces the direct DP's channel loads on wrapped, unwrapped, and mixed
-// shapes (including odd extents and tie-prone even extents).
+// TestStencilCacheEquivalence checks that the stencil evaluator reproduces
+// the reference direct DP's channel loads (oracle_test.go) on wrapped,
+// unwrapped, and mixed shapes (including odd extents and tie-prone even
+// extents).
 func TestStencilCacheEquivalence(t *testing.T) {
 	topos := []*topology.Torus{
 		topology.NewTorus(4, 4, 4),
@@ -43,7 +44,7 @@ func TestStencilCacheEquivalence(t *testing.T) {
 			g := randomGraph(tp.N(), int64(ti+1))
 			m := topology.Mapping(rand.New(rand.NewSource(int64(ti + 100))).Perm(tp.N()))
 			cached := ChannelLoads(tp, g, m, MinimalAdaptive{})
-			direct := ChannelLoads(tp, g, m, MinimalAdaptive{DisableCache: true})
+			direct := ChannelLoads(tp, g, m, directDP{})
 			if len(cached) != len(direct) {
 				t.Fatalf("load vector lengths differ: %d vs %d", len(cached), len(direct))
 			}
@@ -113,7 +114,58 @@ func TestStencilCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestStencilKeyBounds covers the fallback edges of the key encoding.
+// TestStencilCacheFullBitwise fills the cache's cell budget, so the next
+// build is refused, then routes a flow whose distance vector was never
+// cached. The refused box must deposit exactly the bits the flow's own
+// stencil deposits, in both sinks: a box's loads must not depend on what
+// the process routed before.
+func TestStencilCacheFullBitwise(t *testing.T) {
+	tp := topology.NewTorus(11, 7, 5)
+	src, dst, vol := 0, tp.RankOf([]int{5, 3, 2}), 7.3
+	key, _ := stencilKey([]int{5, 3, 2})
+	if _, ok := stencilCache.Load(key); ok {
+		t.Fatal("distance vector (5,3,2) already cached; pick one no other test routes")
+	}
+	t.Cleanup(fillStencilBudget())
+
+	want := make([]float64, tp.NumChannels())
+	stencilLoads(tp, src, dst, vol, want)
+	got := make([]float64, tp.NumChannels())
+	misses := ctrStencilMisses.Value()
+	MinimalAdaptive{}.AddLoads(tp, src, dst, vol, got)
+	if _, ok := stencilCache.Load(key); ok {
+		t.Fatal("stencil published past a full budget")
+	}
+	if ctrStencilMisses.Value() == misses {
+		t.Fatal("refused box not counted as a stencil-cache miss")
+	}
+	dv := NewDeltaVec(tp.NumChannels())
+	MinimalAdaptive{}.AddLoadsDelta(tp, src, dst, vol, dv)
+	differ := 0
+	for ch := range want {
+		if math.Float64bits(got[ch]) != math.Float64bits(want[ch]) {
+			differ++
+		}
+		if math.Float64bits(dv.Value(ch)) != math.Float64bits(got[ch]) {
+			t.Fatalf("channel %d: AddLoadsDelta %.17g, AddLoads %.17g", ch, dv.Value(ch), got[ch])
+		}
+	}
+	if differ != 0 {
+		t.Fatalf("full cache: %d channels of AddLoads differ from the flow's stencil", differ)
+	}
+}
+
+// fillStencilBudget reserves every cell the stencil cache has left, so each
+// build that would publish a new stencil is refused until the returned
+// release runs.
+func fillStencilBudget() (release func()) {
+	free := maxStencilCells - stencilCells.Load()
+	stencilCells.Add(free)
+	return func() { stencilCells.Add(-free) }
+}
+
+// TestStencilKeyBounds covers the edges of the key encoding; vectors past
+// them are routed by uncached stencils.
 func TestStencilKeyBounds(t *testing.T) {
 	if _, ok := stencilKey([]int{1, 2, 3}); !ok {
 		t.Fatal("small vector must be encodable")
@@ -137,10 +189,10 @@ func BenchmarkMinimalAdaptiveStencil(b *testing.B) {
 	m := topology.Identity(tp.N())
 	for _, cfg := range []struct {
 		name string
-		alg  MinimalAdaptive
+		alg  Algorithm
 	}{
 		{"cached", MinimalAdaptive{}},
-		{"direct", MinimalAdaptive{DisableCache: true}},
+		{"direct", directDP{}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -30,10 +30,11 @@ const (
 	CtrGraphFreeze = "graph.freeze" // CSR compilations (Freeze calls and frozen derived results)
 
 	// routing: displacement-stencil cache of the minimal-adaptive evaluator.
-	CtrStencilHits      = "routing.stencil.hits"
-	CtrStencilMisses    = "routing.stencil.misses"
-	CtrStencilBuilds    = "routing.stencil.builds"
-	CtrStencilEvictions = "routing.stencil.evictions"
+	// Every routed box counts one hit or one miss.
+	CtrStencilHits      = "routing.stencil.hits"      // boxes served by a published (cached) stencil
+	CtrStencilMisses    = "routing.stencil.misses"    // boxes served by an unpublished stencil: key too wide or budget full
+	CtrStencilBuilds    = "routing.stencil.builds"    // stencils built for publication
+	CtrStencilEvictions = "routing.stencil.evictions" // built stencils that lost a publication race
 
 	// core: level-wise scheduler sibling-reuse caches.
 	CtrSubproblems    = "core.subproblems"
