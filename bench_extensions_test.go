@@ -3,6 +3,7 @@ package rahtm
 // Benchmarks for the §VI extensions and the remaining ablations.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -61,7 +62,7 @@ func BenchmarkScalingStudy(b *testing.B) {
 			}
 			var res *PipelineResult
 			for i := 0; i < b.N; i++ {
-				res, err = m.Pipeline(w, c.topo, c.conc)
+				res, err = solveDetail(context.Background(), m, w, c.topo, c.conc)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -176,7 +176,7 @@ func BenchmarkSectionVBOptimizationTime(b *testing.B) {
 	}
 	var res *PipelineResult
 	for i := 0; i < b.N; i++ {
-		res, err = (Mapper{}).Pipeline(w, t, conc)
+		res, err = solveDetail(context.Background(), Mapper{}, w, t, conc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -360,7 +360,7 @@ func BenchmarkParallelPipeline(b *testing.B) {
 			m := Mapper{Parallelism: bc.par}
 			var phase23, mcl float64
 			for i := 0; i < b.N; i++ {
-				res, err := m.Pipeline(w, t, 4)
+				res, err := solveDetail(context.Background(), m, w, t, 4)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -400,8 +400,8 @@ func BenchmarkPipelineTelemetry(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			var phase23 float64
 			for i := 0; i < b.N; i++ {
-				m := Mapper{Observer: bc.obs()}
-				res, err := m.Pipeline(w, t, 4)
+				ctx := WithObserver(context.Background(), bc.obs())
+				res, err := solveDetail(ctx, Mapper{}, w, t, 4)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -97,8 +97,8 @@ func main() {
 		rahtmMapper.Merge.MaxOrientations = *orient
 	}
 	// Observer stack: logging, span recording and live progress compose
-	// through a tee on the RAHTM mapper. Spans from every pipeline run of
-	// the session land in one timeline.
+	// through a tee on the context, which only the RAHTM pipeline reads.
+	// Spans from every pipeline run of the session land in one timeline.
 	var observers []rahtm.Observer
 	var recorder *rahtm.SpanRecorder
 	var tracker *rahtm.ProgressTracker
@@ -119,7 +119,7 @@ func main() {
 		observers = append(observers, tracker)
 	}
 	if len(observers) > 0 {
-		rahtmMapper.Observer = rahtm.TeeObservers(observers...)
+		ctx = rahtm.WithObserver(ctx, rahtm.TeeObservers(observers...))
 	}
 	if *metrics != "" {
 		srv, err := rahtm.ServeMetrics(*metrics, tracker.Snapshot)
@@ -337,13 +337,22 @@ func pipelineRow(w *rahtm.Workload, res *rahtm.PipelineResult, err error) pipeli
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
+// solvePipeline runs m through Solve and returns the full pipeline output.
+func solvePipeline(ctx context.Context, m rahtm.Mapper, w *rahtm.Workload, t *rahtm.Torus, conc int) (*rahtm.PipelineResult, error) {
+	res, err := rahtm.Solve(ctx, rahtm.Request{Work: w, Torus: t, Conc: conc, Config: &m})
+	if err != nil {
+		return nil, err
+	}
+	return res.Detail, nil
+}
+
 // collectPipelineStats runs the RAHTM pipeline per workload solely to
 // gather phase statistics for the JSON report.
 func collectPipelineStats(ctx context.Context, ws []*rahtm.Workload, t *rahtm.Torus, conc int, m rahtm.Mapper) []pipelineJSON {
 	out := make([]pipelineJSON, 0, len(ws))
 	for _, w := range ws {
 		prev := rahtm.Metrics()
-		res, err := m.PipelineCtx(ctx, w, t, conc)
+		res, err := solvePipeline(ctx, m, w, t, conc)
 		row := pipelineRow(w, res, err)
 		row.addMetrics(rahtm.Metrics().Sub(prev))
 		out = append(out, row)
@@ -431,7 +440,7 @@ func scaleTrajectory(ctx context.Context, m rahtm.Mapper, maxProcs int) []scaleJ
 		w := rahtm.Halo2D(lvl.rows, lvl.cols, 1)
 		prev := rahtm.Metrics()
 		start := time.Now()
-		res, err := m.PipelineCtx(ctx, w, t, lvl.conc)
+		res, err := solvePipeline(ctx, m, w, t, lvl.conc)
 		wall := time.Since(start)
 		row := scaleJSON{
 			Procs:        lvl.procs,
@@ -464,7 +473,7 @@ func optimizationTime(ctx context.Context, ws []*rahtm.Workload, t *rahtm.Torus,
 	out := make([]pipelineJSON, 0, len(ws))
 	for _, w := range ws {
 		prev := rahtm.Metrics()
-		res, err := m.PipelineCtx(ctx, w, t, conc)
+		res, err := solvePipeline(ctx, m, w, t, conc)
 		row := pipelineRow(w, res, err)
 		row.addMetrics(rahtm.Metrics().Sub(prev))
 		out = append(out, row)

@@ -75,9 +75,10 @@ func main() {
 	m := factory(topo)
 
 	// Assemble the observer stack: logging, span recording and live
-	// progress compose through a tee. Only the RAHTM pipeline emits
-	// observer events; for baseline mappers the process-wide counters
-	// (and hence -report and the /metrics endpoint) still work.
+	// progress compose through a tee on the context. Only the RAHTM
+	// pipeline emits observer events; for baseline mappers the
+	// process-wide counters (and hence -report and the /metrics endpoint)
+	// still work.
 	var observers []rahtm.Observer
 	var recorder *rahtm.SpanRecorder
 	var tracker *rahtm.ProgressTracker
@@ -93,11 +94,9 @@ func main() {
 		observers = append(observers, tracker)
 	}
 
+	ctx = rahtm.WithObserver(ctx, rahtm.TeeObservers(observers...))
 	if rm, ok := m.(rahtm.Mapper); ok {
 		rm.Parallelism = *workers
-		if len(observers) > 0 {
-			rm.Observer = rahtm.TeeObservers(observers...)
-		}
 		m = rm
 	} else if *traceOut != "" {
 		fmt.Fprintf(os.Stderr, "rahtm-map: note: -trace-out records the RAHTM scheduler; mapper %q emits no spans\n", m.Name())
@@ -128,13 +127,14 @@ func main() {
 	var mapping rahtm.Mapping
 	var stats *rahtm.PhaseStats
 	if rm, ok := m.(rahtm.Mapper); ok {
-		res, err := rm.PipelineCtx(ctx, w, topo, *conc)
+		sres, err := rahtm.Solve(ctx, rahtm.Request{Work: w, Torus: topo, Conc: *conc, Config: &rm})
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				fatal(fmt.Errorf("interrupted before a mapping was available"))
 			}
 			fatal(err)
 		}
+		res := sres.Detail
 		if res.Stats.Degraded {
 			fmt.Fprintln(os.Stderr, "rahtm-map: time budget expired; returning the best mapping found so far")
 		}

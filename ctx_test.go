@@ -11,6 +11,7 @@ import (
 
 // recObserver records events for assertions; safe for concurrent use.
 type recObserver struct {
+	NopObserver
 	mu          sync.Mutex
 	starts      []string
 	ends        []string
@@ -18,6 +19,7 @@ type recObserver struct {
 	samples     int
 	rounds      int
 	lpIters     int
+	spans       int
 }
 
 func (r *recObserver) PhaseStart(phase string) {
@@ -56,13 +58,28 @@ func (r *recObserver) LPIterations(n int) {
 	r.lpIters += n
 }
 
+func (r *recObserver) Span(string, string, int, int, uint64, time.Time, time.Duration) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.spans++
+}
+
+// solveDetail runs m through Solve and returns the full pipeline output.
+func solveDetail(ctx context.Context, m Mapper, w *Workload, t *Torus, conc int) (*PipelineResult, error) {
+	res, err := Solve(ctx, Request{Work: w, Torus: t, Conc: conc, Config: &m})
+	if err != nil {
+		return nil, err
+	}
+	return res.Detail, nil
+}
+
 func TestPipelineCtxAlreadyCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	w := Halo2D(8, 8, 10)
 	tp := NewTorus(4, 4, 4)
 	start := time.Now()
-	_, err := Mapper{}.PipelineCtx(ctx, w, tp, 1)
+	_, err := solveDetail(ctx, Mapper{}, w, tp, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -79,7 +96,7 @@ func TestPipelineCtxDeadlineDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := NewTorus(4, 4, 4)
-	res, err := Mapper{}.PipelineCtx(ctx, w, tp, 1)
+	res, err := solveDetail(ctx, Mapper{}, w, tp, 1)
 	if err != nil {
 		t.Fatalf("expired deadline must degrade, not fail: %v", err)
 	}
@@ -106,7 +123,7 @@ func TestPipelineCtxCancelMidRun(t *testing.T) {
 	tp := NewTorus(4, 4, 4)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := Mapper{}.PipelineCtx(ctx, w, tp, 1)
+		_, err := solveDetail(ctx, Mapper{}, w, tp, 1)
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -127,10 +144,11 @@ func TestPipelineObserverPhases(t *testing.T) {
 	rec := &recObserver{}
 	w := Halo2D(4, 4, 10)
 	tp := NewTorus(4, 4)
-	res, err := Mapper{Observer: rec}.PipelineCtx(context.Background(), w, tp, 1)
+	sres, err := Solve(context.Background(), Request{Work: w, Torus: tp, Conc: 1, Config: &Mapper{}, Observer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := sres.Detail
 	if res.Stats.Degraded {
 		t.Fatal("unbudgeted run must not be degraded")
 	}
@@ -155,7 +173,7 @@ func TestLogObserverWrites(t *testing.T) {
 	o := NewLogObserver(&sb)
 	w := Halo2D(4, 4, 10)
 	tp := NewTorus(4, 4)
-	if _, err := (Mapper{Observer: o}).PipelineCtx(context.Background(), w, tp, 1); err != nil {
+	if _, err := solveDetail(WithObserver(context.Background(), o), Mapper{}, w, tp, 1); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -163,6 +181,42 @@ func TestLogObserverWrites(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("log output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestWithObserverReachesCompareCtx: an observer on the context reaches the
+// RAHTM pipeline that CompareCtx runs beside the baselines.
+func TestWithObserverReachesCompareCtx(t *testing.T) {
+	rec := &recObserver{}
+	w := Halo2D(4, 4, 10)
+	tp := NewTorus(4, 4)
+	if _, err := CompareCtx(WithObserver(context.Background(), rec), w, tp, 1, StandardMappers(tp), Model{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, phase := range []string{PhaseCluster, PhaseMap, PhaseMerge} {
+		if !containsStr(rec.starts, phase) {
+			t.Fatalf("no PhaseStart(%q); starts = %v", phase, rec.starts)
+		}
+	}
+	if rec.spans == 0 {
+		t.Fatal("no Span events")
+	}
+}
+
+// TestRequestObserverOverridesContext: Request.Observer takes the events
+// and the observer the context carries sees none.
+func TestRequestObserverOverridesContext(t *testing.T) {
+	ctxRec, reqRec := &recObserver{}, &recObserver{}
+	ctx := WithObserver(context.Background(), ctxRec)
+	w := Halo2D(4, 4, 10)
+	if _, err := Solve(ctx, Request{Work: w, Torus: NewTorus(4, 4), Observer: reqRec}); err != nil {
+		t.Fatal(err)
+	}
+	if len(reqRec.starts) != 3 || reqRec.spans == 0 {
+		t.Fatalf("Request.Observer saw starts %v and %d spans", reqRec.starts, reqRec.spans)
+	}
+	if len(ctxRec.starts) != 0 || ctxRec.spans != 0 {
+		t.Fatalf("context observer saw starts %v and %d spans despite Request.Observer", ctxRec.starts, ctxRec.spans)
 	}
 }
 

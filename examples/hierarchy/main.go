@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,10 +19,11 @@ func main() {
 
 	fmt.Printf("mapping %d processes onto %s\n\n", w.Procs(), t)
 
-	res, err := (rahtm.Mapper{}).Pipeline(w, t, 1)
+	sres, err := rahtm.Solve(context.Background(), rahtm.Request{Work: w, Torus: t, Conc: 1, Config: &rahtm.Mapper{}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := sres.Detail
 
 	s := res.Stats
 	fmt.Println("Phase 1 — clustering (Figures 3-4)")

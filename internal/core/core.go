@@ -58,11 +58,6 @@ type Config struct {
 	// also forwarded to the Phase 3 beam scorers. Results are identical
 	// for every setting; see DESIGN.md "Concurrency architecture".
 	Parallelism int
-	// Observer receives pipeline trace events (phase boundaries, subproblem
-	// solves, annealing samples, beam rounds, LP iteration counts). Nil is a
-	// no-op. The same observer is forwarded to the Phase 2 and Phase 3
-	// sub-configurations unless those already carry one.
-	Observer obs.Observer
 }
 
 // PhaseStats reports where pipeline time went.
@@ -150,12 +145,13 @@ func MapProcesses(proc *graph.Comm, t *topology.Torus, cfg Config) (*Result, err
 // MapProcessesCtx runs RAHTM end to end under a context. Hard cancellation
 // (ctx canceled outright) aborts promptly with ctx.Err(); an expired
 // deadline degrades gracefully — each remaining solver returns its
-// best-so-far valid result and Result.Stats.Degraded is set.
+// best-so-far valid result and Result.Stats.Degraded is set. Trace events
+// go to the observer ctx carries (obs.NewContext), if any.
 func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, cfg Config) (*Result, error) {
 	if err := hardCancel(ctx); err != nil {
 		return nil, err
 	}
-	o := obs.OrNop(cfg.Observer)
+	o := obs.FromContext(ctx)
 	scope := telemetry.ScopeFrom(ctx)
 	conc := cfg.Concentration
 	if conc <= 0 {
@@ -248,8 +244,8 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		rep, groupOf := siblingGroups(len(parents), cfg.DisableSiblingReuse, func(i int) uint64 {
 			return keys[i]
 		})
-		obs.EmitSpan(o, "prepare", obs.PhaseMap, -1, d, 0, prepStart, time.Since(prepStart))
-		obs.EmitJobsPlanned(o, obs.PhaseMap, len(rep))
+		o.Span("prepare", obs.PhaseMap, -1, d, 0, prepStart, time.Since(prepStart))
+		o.JobsPlanned(obs.PhaseMap, len(rep))
 		type solveResult struct {
 			res *hiermap.Result
 			err error
@@ -259,9 +255,6 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		if err := forEach(ctx, workers, len(rep), func(worker, gi int) {
 			lc := cfg.Leaf
 			lc.Torus = d == 0 && anyWrap(t)
-			if lc.Observer == nil {
-				lc.Observer = cfg.Observer
-			}
 			if lc.Parallelism == 0 {
 				// Leftover workers prefetch branch-and-bound relaxations
 				// inside each solve; milp results are parallelism-invariant,
@@ -272,7 +265,7 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 			r, err := hiermap.MapCtx(ctx, locals[rep[gi]], shape, lc)
 			elapsed := time.Since(t0)
 			mapWork.Add(int64(elapsed))
-			obs.EmitSpan(o, "solve", obs.PhaseMap, worker, d, keys[rep[gi]], t0, elapsed)
+			o.Span("solve", obs.PhaseMap, worker, d, keys[rep[gi]], t0, elapsed)
 			solved[gi] = solveResult{res: r, err: err}
 		}); err != nil {
 			return nil, err
@@ -305,13 +298,13 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 				pins[d][kid] = r.Mapping[j]
 			}
 		}
-		obs.EmitSpan(o, "fanout", obs.PhaseMap, -1, d, 0, fanStart, time.Since(fanStart))
+		o.Span("fanout", obs.PhaseMap, -1, d, 0, fanStart, time.Since(fanStart))
 		scope.CounterOr(telemetry.CtrSubproblems, ctrSubproblems).Add(int64(len(parents)))    //rahtm:allow(telemetrybatch): flushes once per level, already batched from the fan-out loop
 		scope.CounterOr(telemetry.CtrSubproblemHits, ctrSubproblemHits).Add(int64(levelHits)) //rahtm:allow(telemetrybatch): flushes once per level, already batched from the fan-out loop
 	}
 	res.Stats.MapTime = time.Since(start)
 	res.Stats.MapWorkTime = time.Duration(mapWork.Load())
-	obs.EmitWorkerPool(o, obs.PhaseMap, workers, mapJobs, res.Stats.MapWorkTime)
+	o.WorkerPool(obs.PhaseMap, workers, mapJobs, res.Stats.MapWorkTime)
 	o.PhaseEnd(obs.PhaseMap, res.Stats.MapTime)
 
 	// ---- Phase 3: bottom-up merging ------------------------------------
@@ -331,7 +324,7 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		mcl := hiermap.EvaluateWith(sub, leafShape, false, local, leafAlg)
 		blocks[i] = merge.NewLeafBlock(kids, leafShape, local, mcl)
 	}
-	obs.EmitSpan(o, "leaves", obs.PhaseMerge, -1, L-1, 0, leavesStart, time.Since(leavesStart))
+	o.Span("leaves", obs.PhaseMerge, -1, L-1, 0, leavesStart, time.Since(leavesStart))
 	// Sibling merges within a level are independent (§III-D): dedupe them
 	// by mergeKey, merge one representative per group concurrently, and
 	// translate the rest. The worker budget not consumed by concurrent
@@ -360,13 +353,10 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		rep, groupOf := siblingGroups(len(parents), cfg.DisableSiblingReuse, func(i int) uint64 {
 			return keys[i]
 		})
-		obs.EmitSpan(o, "prepare", obs.PhaseMerge, -1, d, 0, prepStart, time.Since(prepStart))
-		obs.EmitJobsPlanned(o, obs.PhaseMerge, len(rep))
+		o.Span("prepare", obs.PhaseMerge, -1, d, 0, prepStart, time.Since(prepStart))
+		o.JobsPlanned(obs.PhaseMerge, len(rep))
 		mc := cfg.Merge
 		mc.Level = d
-		if mc.Observer == nil {
-			mc.Observer = cfg.Observer
-		}
 		if d == 0 {
 			mc.Torus = anyWrap(t)
 			if sameDims(t, h.BlockShape(0)) {
@@ -388,7 +378,7 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 			m, err := merge.MergeCtx(ctx, nodeGraph, childSets[i], h.CubeShape(d), posSets[i], mc)
 			elapsed := time.Since(t0)
 			mergeWork.Add(int64(elapsed))
-			obs.EmitSpan(o, "merge", obs.PhaseMerge, worker, d, keys[i], t0, elapsed)
+			o.Span("merge", obs.PhaseMerge, worker, d, keys[i], t0, elapsed)
 			merged[gi] = mergeResult{block: m, err: err}
 		}); err != nil {
 			return nil, err
@@ -414,14 +404,14 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 				levelHits++
 			}
 		}
-		obs.EmitSpan(o, "fanout", obs.PhaseMerge, -1, d, 0, fanStart, time.Since(fanStart))
+		o.Span("fanout", obs.PhaseMerge, -1, d, 0, fanStart, time.Since(fanStart))
 		scope.CounterOr(telemetry.CtrMerges, ctrMerges).Add(int64(len(parents)))    //rahtm:allow(telemetrybatch): flushes once per level, already batched from the fan-out loop
 		scope.CounterOr(telemetry.CtrMergeHits, ctrMergeHits).Add(int64(levelHits)) //rahtm:allow(telemetrybatch): flushes once per level, already batched from the fan-out loop
 		blocks = next
 	}
 	res.Stats.MergeTime = time.Since(start)
 	res.Stats.MergeWorkTime = time.Duration(mergeWork.Load())
-	obs.EmitWorkerPool(o, obs.PhaseMerge, workers, mergeJobs, res.Stats.MergeWorkTime)
+	o.WorkerPool(obs.PhaseMerge, workers, mergeJobs, res.Stats.MergeWorkTime)
 	o.PhaseEnd(obs.PhaseMerge, res.Stats.MergeTime)
 
 	// ---- Final assembly -------------------------------------------------

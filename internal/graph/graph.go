@@ -447,7 +447,8 @@ func Read(r io.Reader) (*Comm, error) {
 		return nil, fmt.Errorf("graph: bad header %q", sc.Text())
 	}
 	n, err := strconv.Atoi(head[1])
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > math.MaxInt32 {
+		// The frozen CSR form indexes vertices with int32.
 		return nil, fmt.Errorf("graph: bad vertex count %q", head[1])
 	}
 	g := New(n)
@@ -478,6 +479,10 @@ func Read(r io.Reader) (*Comm, error) {
 			return nil, fmt.Errorf("graph: line %d: non-finite volume in %q", line, txt)
 		}
 		g.AddTraffic(s, d, v)
+		if math.IsInf(g.adj[s][d], 0) {
+			// Finite volumes on repeated lines can sum past MaxFloat64.
+			return nil, fmt.Errorf("graph: line %d: volume of edge %d->%d overflows", line, s, d)
+		}
 	}
 	return g, sc.Err()
 }

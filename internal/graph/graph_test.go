@@ -171,6 +171,8 @@ func TestReadErrors(t *testing.T) {
 		"comm 2\n0 1\n",
 		"comm 2\n0 9 1\n",
 		"comm 2\na b c\n",
+		"comm 0100000000000000000",
+		"comm 2\n0 1 1e308\n0 1 1e308\n",
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {

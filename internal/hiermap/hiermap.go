@@ -94,9 +94,6 @@ type Config struct {
 	// prefetch mode (<= 1: sequential). Any setting yields the identical
 	// mapping — milp results are bitwise parallelism-invariant.
 	Parallelism int
-	// Observer receives annealing samples and LP iteration counts; nil is
-	// a no-op.
-	Observer obs.Observer
 }
 
 // Result of mapping a cluster graph onto a cube.
@@ -120,7 +117,8 @@ func Map(g *graph.Comm, shape []int, cfg Config) (*Result, error) {
 // MapCtx is Map under a context. Hard cancellation aborts the solver at
 // its next poll and returns ctx.Err(); an expired deadline degrades
 // gracefully — the solver stops searching and returns its best-so-far valid
-// placement with Result.Degraded set.
+// placement with Result.Degraded set. Annealing samples and LP iteration
+// counts go to the observer ctx carries (obs.NewContext), if any.
 func MapCtx(ctx context.Context, g *graph.Comm, shape []int, cfg Config) (*Result, error) {
 	if err := hardCancel(ctx); err != nil {
 		return nil, err
@@ -149,9 +147,9 @@ func MapCtx(ctx context.Context, g *graph.Comm, shape []int, cfg Config) (*Resul
 	case Exhaustive:
 		return solveExhaustive(ctx, g, cube)
 	case Anneal:
-		return solveAnneal(ctx, g, cube, cfg)
+		return solveAnneal(ctx, g, cube, cfg, obs.FromContext(ctx))
 	case MILP:
-		return solveMILP(ctx, g, cube, shape, cfg)
+		return solveMILP(ctx, g, cube, shape, cfg, obs.FromContext(ctx))
 	}
 	return nil, fmt.Errorf("hiermap: unknown method %v", cfg.Method)
 }
@@ -287,9 +285,8 @@ func solveExhaustive(ctx context.Context, g *graph.Comm, cube *topology.Torus) (
 // pairwise-swap moves and incremental channel-load maintenance. The context
 // is polled every 256 steps: hard cancellation aborts with ctx.Err(), an
 // expired deadline returns the best placement found so far as degraded.
-// Temperature/energy samples go to cfg.Observer roughly 32 times per
-// restart.
-func solveAnneal(ctx context.Context, g *graph.Comm, cube *topology.Torus, cfg Config) (*Result, error) {
+// Temperature/energy samples go to o roughly 32 times per restart.
+func solveAnneal(ctx context.Context, g *graph.Comm, cube *topology.Torus, cfg Config, o obs.Observer) (*Result, error) {
 	n := cube.N()
 	iters := cfg.AnnealIters
 	if iters <= 0 {
@@ -300,7 +297,6 @@ func solveAnneal(ctx context.Context, g *graph.Comm, cube *topology.Torus, cfg C
 		restarts = 4
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	o := obs.OrNop(cfg.Observer)
 	sampleEvery := iters / 32
 	if sampleEvery < 1 {
 		sampleEvery = 1

@@ -21,14 +21,14 @@ import (
 // (a 2-ary n-torus is a 2-ary n-mesh with double-wide links). Minimal
 // routing is enforced by constraint C3: per flow, a binary r_{i,dim} allows
 // flow in only one direction within each dimension.
-func solveMILP(ctx context.Context, g *graph.Comm, cube *topology.Torus, shape []int, cfg Config) (*Result, error) {
+func solveMILP(ctx context.Context, g *graph.Comm, cube *topology.Torus, shape []int, cfg Config, o obs.Observer) (*Result, error) {
 	if err := hardCancel(ctx); err != nil {
 		return nil, err
 	}
 	if expired(ctx) {
 		// No time left even for model construction: fall back to the
 		// annealing seed, which degrades to its first valid placement.
-		res, err := solveAnneal(ctx, g, cube, cfg)
+		res, err := solveAnneal(ctx, g, cube, cfg, o)
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +183,7 @@ func solveMILP(ctx context.Context, g *graph.Comm, cube *topology.Torus, shape [
 		Incumbent:   incumbent,
 		Parallelism: cfg.Parallelism,
 	})
-	obs.OrNop(cfg.Observer).LPIterations(res.LPIters)
+	o.LPIterations(res.LPIters)
 	if err := hardCancel(ctx); err != nil {
 		return nil, err
 	}
@@ -227,7 +227,7 @@ func buildIncumbent(ctx context.Context, g *graph.Comm, mesh, cube *topology.Tor
 		AnnealIters:    cfg.AnnealIters,
 		AnnealRestarts: 1,
 		Seed:           cfg.Seed,
-	})
+	}, obs.Nop{})
 	if err != nil {
 		if hardCancel(ctx) != nil {
 			return nil, err

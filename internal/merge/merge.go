@@ -257,10 +257,8 @@ type Config struct {
 	// Parallelism bounds the worker goroutines scoring merge candidates
 	// (0 = GOMAXPROCS).
 	Parallelism int
-	// Observer receives BeamRound events after every merge step; nil is a
-	// no-op.
-	Observer obs.Observer
-	// Level tags Observer events with the hierarchy depth of this merge.
+	// Level tags the BeamRound events this merge sends to the observer its
+	// context carries (obs.NewContext) with the hierarchy depth.
 	Level int
 }
 
@@ -391,7 +389,7 @@ func newMerger(ctx context.Context, g *graph.Comm, children []*Block, cubeShape 
 	}
 	m.ctx = ctx
 	m.done = ctx.Done()
-	m.obs = obs.OrNop(cfg.Observer)
+	m.obs = obs.FromContext(ctx)
 	m.scope = telemetry.ScopeFrom(ctx)
 	m.alg = routing.MinimalAdaptive{}.WithScope(m.scope)
 	m.workers = cfg.Parallelism

@@ -1,18 +1,20 @@
 // Package obs defines the Observer tracing layer of the RAHTM pipeline:
-// a small event interface through which long-running phases (clustering,
-// hierarchical cube mapping, beam merging, LP/MILP solves) report structured
-// progress to the caller.
+// one event interface through which long-running phases (clustering,
+// hierarchical cube mapping, beam merging, LP/MILP solves) and the
+// level-wise scheduler report structured progress to the caller.
 //
-// Observers are delivered to the pipeline via core.Config (and, on the
-// public facade, rahtm.PipelineConfig / rahtm.Mapper). The zero default is
-// Nop; Log writes line-oriented events to an io.Writer, serialized by an
-// internal mutex. Every implementation MUST be safe for concurrent use:
-// the level-wise scheduler solves Phase 2 subproblems and Phase 3 merges on
-// worker goroutines, so callbacks fire concurrently whenever the pipeline
-// runs with Parallelism != 1.
+// An Observer reaches the pipeline on the solve context, beside the
+// telemetry scope and the deadline: NewContext attaches one and each
+// pipeline layer reads it once with FromContext, which yields Nop when none
+// is attached. Log writes line-oriented events to an io.Writer, serialized
+// by an internal mutex. Every implementation MUST be safe for concurrent
+// use: the level-wise scheduler solves Phase 2 subproblems and Phase 3
+// merges on worker goroutines, so callbacks fire concurrently whenever the
+// pipeline runs with Parallelism != 1.
 package obs
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -32,8 +34,9 @@ const (
 //
 // Thread safety: implementations must be safe for concurrent use. With
 // pipeline Parallelism != 1 the Phase 2/3 level-wise scheduler invokes
-// SubproblemSolved, AnnealSample, BeamRound and LPIterations from multiple
-// worker goroutines at once (PhaseStart/PhaseEnd remain single-threaded).
+// SubproblemSolved, AnnealSample, BeamRound, LPIterations and Span from
+// multiple worker goroutines at once (PhaseStart, PhaseEnd, WorkerPool and
+// JobsPlanned remain single-threaded).
 // Guard mutable state with a mutex, as Log does.
 type Observer interface {
 	// PhaseStart fires when a pipeline phase begins (PhaseCluster,
@@ -57,6 +60,27 @@ type Observer interface {
 	// LPIterations reports simplex iterations spent by an LP or MILP
 	// solve.
 	LPIterations(iters int)
+
+	// WorkerPool reports a phase's scheduler configuration and cost once
+	// per phase, from the coordinating goroutine: the worker count, the
+	// number of jobs (representative subproblem solves or merges)
+	// dispatched, and the cumulative busy time across workers (with W
+	// workers this may exceed the phase wall time by up to a factor of W).
+	WorkerPool(phase string, workers, jobs int, busy time.Duration)
+	// Span reports one completed unit of scheduler work. name identifies
+	// the kind ("solve", "merge", "prepare", "leaves", "fanout"); phase is
+	// the enclosing pipeline phase; worker is the scheduler worker index
+	// that ran the job (-1 for the coordinating goroutine); level is the
+	// hierarchy depth; hash is the structural fingerprint of the
+	// subproblem (0 when not applicable). Unlike the events above, which
+	// the scheduler commits in deterministic sibling index order, spans
+	// fire from worker goroutines the moment each job finishes, so their
+	// order varies run to run.
+	Span(name, phase string, worker, level int, hash uint64, start time.Time, elapsed time.Duration)
+	// JobsPlanned reports that the scheduler is about to dispatch n more
+	// jobs (representative solves or merges) in the given phase, which
+	// lets live progress views report done/total counts.
+	JobsPlanned(phase string, n int)
 }
 
 // Nop is the no-op Observer; the pipeline default.
@@ -80,98 +104,39 @@ func (Nop) BeamRound(int, int, int, float64) {}
 // LPIterations implements Observer.
 func (Nop) LPIterations(int) {}
 
-// WorkerPool implements WorkerObserver, so embedders inherit the full
-// surface.
+// WorkerPool implements Observer.
 func (Nop) WorkerPool(string, int, int, time.Duration) {}
 
-// Span implements SpanObserver, so embedders inherit the full surface.
+// Span implements Observer.
 func (Nop) Span(string, string, int, int, uint64, time.Time, time.Duration) {}
 
-// JobsPlanned implements ProgressObserver, so embedders inherit the full
-// surface.
+// JobsPlanned implements Observer.
 func (Nop) JobsPlanned(string, int) {}
 
-// WorkerObserver is an optional Observer extension: observers that also
-// implement it receive worker-pool utilization reports from the level-wise
-// scheduler. Like every Observer callback it must be safe for concurrent
-// use (the pipeline emits it from the coordinating goroutine, once per
-// phase).
-type WorkerObserver interface {
-	// WorkerPool reports a phase's scheduler configuration and cost:
-	// the worker count, the number of jobs (representative subproblem
-	// solves or merges) dispatched, and the cumulative busy time across
-	// workers (with W workers this may exceed the phase wall time by up
-	// to a factor of W).
-	WorkerPool(phase string, workers, jobs int, busy time.Duration)
-}
+// ctxKey is the context key carrying an Observer.
+type ctxKey struct{}
 
-// EmitWorkerPool forwards a worker-pool report to o when it implements
-// WorkerObserver, and is a no-op otherwise.
-func EmitWorkerPool(o Observer, phase string, workers, jobs int, busy time.Duration) {
-	if wo, ok := o.(WorkerObserver); ok {
-		wo.WorkerPool(phase, workers, jobs, busy)
-	}
-}
-
-// SpanObserver is an optional Observer extension: observers that also
-// implement it receive one timed span per unit of scheduler work — every
-// representative subproblem solve, merge job, level preparation, and
-// sibling fan-out of the level-wise pipeline.
-//
-// Unlike the core Observer events, which the scheduler commits in
-// deterministic sibling index order, spans fire from worker goroutines the
-// moment each job finishes: their order reflects real execution timing and
-// varies run to run. Implementations must be safe for concurrent use.
-type SpanObserver interface {
-	// Span reports one completed unit of work. name identifies the kind
-	// ("solve", "merge", "prepare", "leaves", "fanout"); phase is the
-	// enclosing pipeline phase; worker is the scheduler worker index that
-	// ran the job (-1 for the coordinating goroutine); level is the
-	// hierarchy depth; hash is the structural fingerprint of the
-	// subproblem (0 when not applicable).
-	Span(name, phase string, worker, level int, hash uint64, start time.Time, elapsed time.Duration)
-}
-
-// EmitSpan forwards a span to o when it implements SpanObserver, and is a
-// no-op otherwise.
-func EmitSpan(o Observer, name, phase string, worker, level int, hash uint64, start time.Time, elapsed time.Duration) {
-	if so, ok := o.(SpanObserver); ok {
-		so.Span(name, phase, worker, level, hash, start, elapsed)
-	}
-}
-
-// ProgressObserver is an optional Observer extension: observers that also
-// implement it learn how many scheduler jobs a phase is about to dispatch,
-// which lets live progress views report done/total counts.
-type ProgressObserver interface {
-	// JobsPlanned reports that the scheduler is about to dispatch n more
-	// jobs (representative solves or merges) in the given phase.
-	JobsPlanned(phase string, n int)
-}
-
-// EmitJobsPlanned forwards a job count to o when it implements
-// ProgressObserver, and is a no-op otherwise.
-func EmitJobsPlanned(o Observer, phase string, n int) {
-	if po, ok := o.(ProgressObserver); ok {
-		po.JobsPlanned(phase, n)
-	}
-}
-
-// OrNop returns o, or Nop when o is nil, so call sites never need a nil
-// check.
-func OrNop(o Observer) Observer {
+// NewContext returns a context carrying o, for the pipeline to pick up with
+// FromContext. A nil o returns ctx unchanged.
+func NewContext(ctx context.Context, o Observer) context.Context {
 	if o == nil {
-		return Nop{}
+		return ctx
 	}
-	return o
+	return context.WithValue(ctx, ctxKey{}, o)
+}
+
+// FromContext returns the Observer carried by ctx, or Nop when none is
+// attached. Call it once per solve, leaf solve or merge — not in hot loops.
+func FromContext(ctx context.Context) Observer {
+	if o, ok := ctx.Value(ctxKey{}).(Observer); ok {
+		return o
+	}
+	return Nop{}
 }
 
 // Tee returns an Observer that fans every event out to all non-nil members,
-// in argument order. The tee also implements the WorkerObserver,
-// SpanObserver, and ProgressObserver extensions, forwarding each extension
-// event only to the members that implement it (so a Log and a span recorder
-// compose without either seeing events it does not handle). With zero
-// non-nil members it returns Nop; with one, that member unchanged.
+// in argument order. With zero non-nil members it returns Nop; with one,
+// that member unchanged.
 //
 // The tee adds no synchronization of its own: it is safe for concurrent use
 // exactly when every member is, which the Observer contract already
@@ -236,53 +201,43 @@ func (t tee) LPIterations(iters int) {
 	}
 }
 
-// WorkerPool implements WorkerObserver, forwarding to members that do.
+// WorkerPool implements Observer.
 func (t tee) WorkerPool(phase string, workers, jobs int, busy time.Duration) {
 	for _, o := range t {
-		EmitWorkerPool(o, phase, workers, jobs, busy)
+		o.WorkerPool(phase, workers, jobs, busy)
 	}
 }
 
-// Span implements SpanObserver, forwarding to members that do.
+// Span implements Observer.
 func (t tee) Span(name, phase string, worker, level int, hash uint64, start time.Time, elapsed time.Duration) {
 	for _, o := range t {
-		EmitSpan(o, name, phase, worker, level, hash, start, elapsed)
+		o.Span(name, phase, worker, level, hash, start, elapsed)
 	}
 }
 
-// JobsPlanned implements ProgressObserver, forwarding to members that do.
+// JobsPlanned implements Observer.
 func (t tee) JobsPlanned(phase string, n int) {
 	for _, o := range t {
-		EmitJobsPlanned(o, phase, n)
+		o.JobsPlanned(phase, n)
 	}
 }
 
-// DefaultLogPrefix is the line prefix of Log observers built by NewLog.
-const DefaultLogPrefix = "rahtm: "
-
-// Log is an Observer that writes one line per event to an io.Writer,
-// serialized by an internal mutex. It is safe for concurrent use.
+// Log is an Observer that writes one "rahtm: "-prefixed line per event to
+// an io.Writer, serialized by an internal mutex. It is safe for concurrent
+// use.
 //
 // The zero value (and a nil *Log) is a valid observer that silently
-// discards every event — a Log carries its writer only through NewLog /
-// NewLogPrefix, so a zero Log has nowhere to write. Construct with NewLog;
-// do not copy a Log after first use (it contains a mutex).
+// discards every event — a Log carries its writer only through NewLog, so a
+// zero Log has nowhere to write. Construct with NewLog; do not copy a Log
+// after first use (it contains a mutex).
 type Log struct {
-	mu     sync.Mutex
-	w      io.Writer
-	prefix string
+	mu sync.Mutex
+	w  io.Writer
 }
 
-// NewLog returns a Log writing to w with the default "rahtm: " line prefix.
-// A nil w yields an observer that discards every event.
-func NewLog(w io.Writer) *Log { return &Log{w: w, prefix: DefaultLogPrefix} }
-
-// NewLogPrefix returns a Log writing to w with a custom line prefix, so
-// multi-run drivers can label each run's trace ("run3: ", for example). An
-// empty prefix emits bare lines.
-func NewLogPrefix(w io.Writer, prefix string) *Log {
-	return &Log{w: w, prefix: prefix}
-}
+// NewLog returns a Log writing to w. A nil w yields an observer that
+// discards every event.
+func NewLog(w io.Writer) *Log { return &Log{w: w} }
 
 func (l *Log) printf(format string, args ...interface{}) {
 	if l == nil || l.w == nil {
@@ -290,7 +245,7 @@ func (l *Log) printf(format string, args ...interface{}) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	fmt.Fprintf(l.w, l.prefix+format+"\n", args...)
+	fmt.Fprintf(l.w, "rahtm: "+format+"\n", args...)
 }
 
 // PhaseStart implements Observer.
@@ -325,7 +280,14 @@ func (l *Log) BeamRound(level, step, candidates int, bestMCL float64) {
 // LPIterations implements Observer.
 func (l *Log) LPIterations(iters int) { l.printf("lp solve: %d simplex iterations", iters) }
 
-// WorkerPool implements WorkerObserver.
+// WorkerPool implements Observer.
 func (l *Log) WorkerPool(phase string, workers, jobs int, busy time.Duration) {
 	l.printf("phase %s scheduler: %d workers, %d jobs, %v cumulative work", phase, workers, jobs, busy)
 }
+
+// Span implements Observer. Log prints no per-job lines: one per scheduler
+// job would drown the phase trace; WorkerPool summarizes them instead.
+func (*Log) Span(string, string, int, int, uint64, time.Time, time.Duration) {}
+
+// JobsPlanned implements Observer; Log prints nothing for it.
+func (*Log) JobsPlanned(string, int) {}

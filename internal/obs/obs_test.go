@@ -1,28 +1,27 @@
 package obs
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-func TestOrNop(t *testing.T) {
-	if OrNop(nil) == nil {
-		t.Fatal("OrNop(nil) must return a usable observer")
+// TestFromContext pins the carrier: no observer yields Nop, a nil observer
+// leaves the context unchanged, and an attached observer comes back as is.
+func TestFromContext(t *testing.T) {
+	ctx := context.Background()
+	if _, ok := FromContext(ctx).(Nop); !ok {
+		t.Fatal("FromContext without an observer must yield Nop")
+	}
+	if NewContext(ctx, nil) != ctx {
+		t.Fatal("NewContext with a nil observer must return ctx unchanged")
 	}
 	l := NewLog(&strings.Builder{})
-	if OrNop(l) != Observer(l) {
-		t.Fatal("OrNop must pass through non-nil observers")
+	if FromContext(NewContext(ctx, l)) != Observer(l) {
+		t.Fatal("FromContext must return the attached observer")
 	}
-	// Nop must absorb every event without panicking.
-	n := OrNop(nil)
-	n.PhaseStart(PhaseCluster)
-	n.PhaseEnd(PhaseMap, time.Second)
-	n.SubproblemSolved(0, "anneal", 1, false)
-	n.AnnealSample(0, 0, 1, 1, 1)
-	n.BeamRound(0, 0, 1, 1)
-	n.LPIterations(1)
 }
 
 func TestLogWritesEvents(t *testing.T) {
@@ -71,26 +70,7 @@ func TestLogZeroValueDiscards(t *testing.T) {
 	l.WorkerPool(PhaseMap, 2, 3, time.Second)
 }
 
-func TestLogCustomPrefix(t *testing.T) {
-	var sb strings.Builder
-	l := NewLogPrefix(&sb, "run7> ")
-	l.PhaseStart(PhaseMap)
-	l.LPIterations(3)
-	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
-		if !strings.HasPrefix(line, "run7> ") {
-			t.Fatalf("line %q missing custom prefix", line)
-		}
-	}
-	sb.Reset()
-	NewLogPrefix(&sb, "").PhaseStart(PhaseMap)
-	if got := sb.String(); got != "phase map start\n" {
-		t.Fatalf("empty prefix: got %q", got)
-	}
-}
-
-// countingObserver records event counts; it implements only the core
-// Observer interface (no extensions), so it doubles as the no-op-path probe
-// for EmitWorkerPool / EmitSpan / EmitJobsPlanned.
+// countingObserver records event counts.
 type countingObserver struct {
 	mu     sync.Mutex
 	counts map[string]int
@@ -118,23 +98,18 @@ func (c *countingObserver) SubproblemSolved(int, string, float64, bool) { c.bump
 func (c *countingObserver) AnnealSample(int, int, float64, float64, float64) {
 	c.bump("anneal")
 }
-func (c *countingObserver) BeamRound(int, int, int, float64) { c.bump("beam") }
-func (c *countingObserver) LPIterations(int)                 { c.bump("lp") }
-
-// extObserver additionally implements every optional extension.
-type extObserver struct {
-	countingObserver
+func (c *countingObserver) BeamRound(int, int, int, float64)           { c.bump("beam") }
+func (c *countingObserver) LPIterations(int)                           { c.bump("lp") }
+func (c *countingObserver) WorkerPool(string, int, int, time.Duration) { c.bump("pool") }
+func (c *countingObserver) Span(string, string, int, int, uint64, time.Time, time.Duration) {
+	c.bump("span")
 }
+func (c *countingObserver) JobsPlanned(string, int) { c.bump("planned") }
 
-func (e *extObserver) WorkerPool(string, int, int, time.Duration) { e.bump("pool") }
-func (e *extObserver) Span(string, string, int, int, uint64, time.Time, time.Duration) {
-	e.bump("span")
-}
-func (e *extObserver) JobsPlanned(string, int) { e.bump("planned") }
-
+// TestTeeFanOut: the tee forwards all nine events to every non-nil member,
+// and FromContext without an observer yields Nop.
 func TestTeeFanOut(t *testing.T) {
-	a := newCountingObserver()
-	b := &extObserver{countingObserver{counts: map[string]int{}}}
+	a, b := newCountingObserver(), newCountingObserver()
 	o := Tee(nil, a, nil, b)
 	o.PhaseStart(PhaseMap)
 	o.PhaseEnd(PhaseMap, time.Second)
@@ -142,23 +117,16 @@ func TestTeeFanOut(t *testing.T) {
 	o.AnnealSample(0, 0, 1, 1, 1)
 	o.BeamRound(0, 0, 1, 1)
 	o.LPIterations(5)
-	EmitWorkerPool(o, PhaseMap, 4, 8, time.Second)
-	EmitSpan(o, "solve", PhaseMap, 0, 1, 42, time.Now(), time.Millisecond)
-	EmitJobsPlanned(o, PhaseMap, 8)
-	for _, k := range []string{"start", "end", "sub", "anneal", "beam", "lp"} {
+	o.WorkerPool(PhaseMap, 4, 8, time.Second)
+	o.Span("solve", PhaseMap, 0, 1, 42, time.Now(), time.Millisecond)
+	o.JobsPlanned(PhaseMap, 8)
+	for _, k := range []string{"start", "end", "sub", "anneal", "beam", "lp", "pool", "span", "planned"} {
 		if a.count(k) != 1 || b.count(k) != 1 {
 			t.Fatalf("event %q: a=%d b=%d, want 1/1", k, a.count(k), b.count(k))
 		}
 	}
-	// Extension events reach only the member that implements them; the
-	// plain member must not see them (and must not panic).
-	for _, k := range []string{"pool", "span", "planned"} {
-		if a.count(k) != 0 {
-			t.Fatalf("plain observer saw extension event %q", k)
-		}
-		if b.count(k) != 1 {
-			t.Fatalf("extension observer missed event %q", k)
-		}
+	if _, ok := FromContext(context.Background()).(Nop); !ok {
+		t.Fatal("FromContext without an observer must yield Nop")
 	}
 }
 
@@ -175,28 +143,11 @@ func TestTeeDegenerateForms(t *testing.T) {
 	}
 }
 
-// TestEmitWorkerPoolNoOpPath pins that the Emit helpers are safe no-ops for
-// observers without the extension — including Tee-wrapped ones.
-func TestEmitWorkerPoolNoOpPath(t *testing.T) {
-	plain := newCountingObserver()
-	EmitWorkerPool(plain, PhaseMap, 2, 2, time.Second)
-	EmitSpan(plain, "solve", PhaseMap, 0, 0, 0, time.Now(), 0)
-	EmitJobsPlanned(plain, PhaseMap, 2)
-	if plain.count("pool")+plain.count("span")+plain.count("planned") != 0 {
-		t.Fatal("no-op path must not synthesize events")
-	}
-	other := newCountingObserver()
-	EmitWorkerPool(Tee(plain, other), PhaseMap, 2, 2, time.Second)
-	if plain.count("pool") != 0 || other.count("pool") != 0 {
-		t.Fatal("tee of plain observers must swallow WorkerPool")
-	}
-}
-
 // TestTeeConcurrentEmission hammers a tee from many goroutines; run with
 // -race this verifies the fan-out adds no unsynchronized state.
 func TestTeeConcurrentEmission(t *testing.T) {
 	a := newCountingObserver()
-	b := &extObserver{countingObserver{counts: map[string]int{}}}
+	b := newCountingObserver()
 	o := Tee(a, b, NewLog(&safeWriter{}))
 	const goroutines, events = 8, 200
 	var wg sync.WaitGroup
@@ -207,8 +158,8 @@ func TestTeeConcurrentEmission(t *testing.T) {
 			for i := 0; i < events; i++ {
 				o.SubproblemSolved(g, "anneal", float64(i), i%2 == 0)
 				o.BeamRound(g, i, 64, 1)
-				EmitSpan(o, "solve", PhaseMap, g, 0, uint64(i), time.Now(), time.Microsecond)
-				EmitJobsPlanned(o, PhaseMap, 1)
+				o.Span("solve", PhaseMap, g, 0, uint64(i), time.Now(), time.Microsecond)
+				o.JobsPlanned(PhaseMap, 1)
 			}
 		}(g)
 	}

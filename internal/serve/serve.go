@@ -21,7 +21,8 @@
 // and mounts the existing telemetry endpoint (GET /metrics — JSON or
 // Prometheus text by content negotiation — and GET /debug/vars) on the same
 // mux; per-request counters (queue wait, cache hit/miss, degraded
-// completions, rejections) land in the process-wide telemetry registry.
+// completions, rejections, errors, panics) land in the process-wide
+// telemetry registry.
 // Lifecycle events go to Config.Logger as structured logs.
 package serve
 
@@ -53,6 +54,7 @@ var (
 	ctrRejected    = telemetry.Default.Counter(telemetry.CtrServeRejected)
 	ctrDegraded    = telemetry.Default.Counter(telemetry.CtrServeDegraded)
 	ctrErrors      = telemetry.Default.Counter(telemetry.CtrServeErrors)
+	ctrPanics      = telemetry.Default.Counter(telemetry.CtrServePanics)
 	histQueueWait  = telemetry.Default.Histogram(telemetry.HistServeQueueWait, telemetry.ServeLatencyBounds)
 	histLatency    = telemetry.Default.Histogram(telemetry.HistServeLatency, telemetry.ServeLatencyBounds)
 
@@ -283,7 +285,7 @@ func (s *Server) finishTrace(j *job) {
 		e.Spans = trimSpans(j.rec.Spans())
 		wallMS = e.WallMS
 	})
-	s.log.Info("solve",
+	attrs := []any{
 		"trace", j.traceID,
 		"workload", workloadName(&j.req),
 		"mapper", mapperName(&j.req),
@@ -292,21 +294,46 @@ func (s *Server) finishTrace(j *job) {
 		"err", errMsg,
 		"queue_ms", j.queueMS,
 		"wall_ms", wallMS,
-		"queue_depth", len(s.queue))
+		"queue_depth", len(s.queue),
+	}
+	var p *solvePanic
+	if errors.As(j.err, &p) {
+		attrs = append(attrs, "stack", string(p.stack))
+	}
+	s.log.Info("solve", attrs...)
 }
 
+// solvePanic is the job error of a solve that panicked. The client sees
+// the panic value; the stack goes to the solve log line.
+type solvePanic struct {
+	value any
+	stack []byte
+}
+
+func (p *solvePanic) Error() string { return fmt.Sprintf("solver panic: %v", p.value) }
+
 // solve runs one job under the merged request/daemon lifetime, with the
-// job's telemetry scope on the context so the solver layers attribute
-// their counters to this request.
-func (s *Server) solve(j *job) (*rahtm.Result, error) {
+// job's telemetry scope and span recorder on the context so the solver
+// layers attribute their counters and spans to this request. A panic on
+// the solving goroutine becomes a *solvePanic job error, so one faulty
+// mapper cannot take the daemon down.
+func (s *Server) solve(j *job) (res *rahtm.Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			ctrPanics.Inc()
+			res, err = nil, &solvePanic{value: v, stack: debug.Stack()}
+		}
+		if err != nil {
+			ctrErrors.Inc()
+		}
+	}()
 	jctx, cancel := context.WithCancel(j.ctx)
 	defer cancel()
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
-	jctx = telemetry.WithScope(jctx, j.scope)
-	res, err := rahtm.Solve(jctx, j.req)
+	jctx = rahtm.WithObserver(telemetry.WithScope(jctx, j.scope), j.rec)
+	res, err = rahtm.Solve(jctx, j.req)
 	if err != nil {
-		ctrErrors.Inc()
 		return nil, err
 	}
 	res.CacheKey = j.key
@@ -415,7 +442,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	scope := telemetry.NewScope(traceID)
 	rec := telemetry.NewRecorder()
 	rec.SetTraceID(traceID)
-	req.Observer = rec
 	j := &job{
 		req: req, key: key, ctx: r.Context(),
 		traceID: traceID, scope: scope, rec: rec,
@@ -449,9 +475,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if j.err != nil {
-		if errors.Is(j.err, context.Canceled) {
+		var p *solvePanic
+		switch {
+		case errors.Is(j.err, context.Canceled):
 			httpError(w, http.StatusServiceUnavailable, "solve canceled: %v", j.err)
-		} else {
+		case errors.As(j.err, &p):
+			httpError(w, http.StatusInternalServerError, "solve failed: %v", j.err)
+		default:
 			httpError(w, http.StatusBadRequest, "solve failed: %v", j.err)
 		}
 		return

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -536,5 +537,94 @@ func TestRetryAfterHintClamped(t *testing.T) {
 	// 100s mean over a deep queue: capped at 60.
 	if got := retryAfterHint(2, 200000, 32, 1); got != 60 {
 		t.Fatalf("backlog: hint %d, want 60", got)
+	}
+}
+
+// crowdedMapper puts every process on node 0, an answer Solve must refuse.
+type crowdedMapper struct{}
+
+func (crowdedMapper) Name() string { return "crowded" }
+
+func (crowdedMapper) MapProcs(w *rahtm.Workload, _ *rahtm.Torus, _ int) (rahtm.Mapping, error) {
+	return make(rahtm.Mapping, w.Procs()), nil
+}
+
+// TestInvalidMappingNeitherCachedNorServed: a mapper's invalid answer is a
+// solve error, so the daemon neither answers with it nor caches it for the
+// next identical request.
+func TestInvalidMappingNeitherCachedNorServed(t *testing.T) {
+	rahtm.RegisterMapper("serve-crowded", func(*rahtm.Torus) rahtm.ProcMapper { return crowdedMapper{} })
+	s, ts := newTestServer(t, Config{})
+	req := `{"workload":"BT","topo":[4,4],"mapper":"serve-crowded"}`
+	for i := 0; i < 2; i++ {
+		resp, body := postSolve(t, ts.URL, req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("request %d: status %d, want 400; body %s", i, resp.StatusCode, body)
+		}
+		if strings.Contains(string(body), `"mapping"`) {
+			t.Fatalf("request %d: invalid mapping served: %s", i, body)
+		}
+	}
+	if n := s.CacheLen(); n != 0 {
+		t.Fatalf("cache holds %d entries after invalid answers, want 0", n)
+	}
+}
+
+// panicMapper panics inside the solve.
+type panicMapper struct{}
+
+func (panicMapper) Name() string { return "panic" }
+
+func (panicMapper) MapProcs(*rahtm.Workload, *rahtm.Torus, int) (rahtm.Mapping, error) {
+	panic("mapper exploded")
+}
+
+// lockedBuffer is a log sink safe for the concurrent writes of the handler
+// and worker goroutines.
+type lockedBuffer struct {
+	mu sync.Mutex
+	sb strings.Builder
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.sb.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.sb.String()
+}
+
+// TestSolverPanicContained: a panicking mapper costs its request a 500, a
+// serve.panics count and a logged stack, and the daemon answers the next
+// request correctly.
+func TestSolverPanicContained(t *testing.T) {
+	rahtm.RegisterMapper("serve-panic", func(*rahtm.Torus) rahtm.ProcMapper { return panicMapper{} })
+	logs := &lockedBuffer{}
+	_, ts := newTestServer(t, Config{Workers: 1, Logger: slog.New(slog.NewTextHandler(logs, nil))})
+	before := telemetry.Default.Snapshot()
+	resp, body := postSolve(t, ts.URL, `{"workload":"BT","topo":[4,4],"mapper":"serve-panic"}`)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500; body %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "mapper exploded") {
+		t.Errorf("error body %s does not name the panic", body)
+	}
+	if d := telemetry.Default.Snapshot().Sub(before).Counter(telemetry.CtrServePanics); d < 1 {
+		t.Errorf("panics counter delta = %d, want >= 1", d)
+	}
+	if l := logs.String(); !strings.Contains(l, "stack=") || !strings.Contains(l, "panicMapper") {
+		t.Errorf("solve log line carries no stack:\n%s", l)
+	}
+
+	resp, body = postSolve(t, ts.URL, cgRequest)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the panic: status %d, body %s", resp.StatusCode, body)
+	}
+	if res := decodeResult(t, body); len(res.Mapping) != 16 {
+		t.Fatalf("request after the panic: mapping covers %d processes, want 16", len(res.Mapping))
 	}
 }

@@ -74,6 +74,7 @@ const (
 	CtrServeRejected     = "serve.rejected" // admission-control 429s
 	CtrServeDegraded     = "serve.degraded" // deadline-degraded completions
 	CtrServeErrors       = "serve.errors"   // failed solves
+	CtrServePanics       = "serve.panics"   // solves that panicked (also counted as errors)
 	HistServeQueueWait   = "serve.queue.wait_ms"
 	HistServeLatency     = "serve.latency_ms"
 	GaugeServeQueueDepth = "serve.queue.depth"

@@ -35,9 +35,9 @@ type Progress struct {
 }
 
 // ProgressTracker derives a live Progress view from pipeline observer
-// events. It implements obs.Observer plus the SpanObserver and
-// ProgressObserver extensions, and is safe for concurrent use — attach it
-// via obs.Tee and poll Snapshot from the serving goroutine.
+// events. It implements obs.Observer and is safe for concurrent use —
+// attach it to the solve context via obs.Tee and poll Snapshot from the
+// serving goroutine.
 type ProgressTracker struct {
 	obs.Nop
 	mu sync.Mutex
@@ -95,7 +95,7 @@ func (t *ProgressTracker) BeamRound(level, step, candidates int, bestMCL float64
 	t.mu.Unlock()
 }
 
-// JobsPlanned implements obs.ProgressObserver.
+// JobsPlanned implements obs.Observer.
 func (t *ProgressTracker) JobsPlanned(phase string, n int) {
 	t.mu.Lock()
 	switch phase {
@@ -107,7 +107,7 @@ func (t *ProgressTracker) JobsPlanned(phase string, n int) {
 	t.mu.Unlock()
 }
 
-// Span implements obs.SpanObserver: completed solve/merge scheduler jobs
+// Span implements obs.Observer: completed solve/merge scheduler jobs
 // advance the done counters.
 func (t *ProgressTracker) Span(name, phase string, worker, level int, hash uint64, start time.Time, elapsed time.Duration) {
 	switch name {

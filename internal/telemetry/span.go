@@ -43,10 +43,9 @@ type Span struct {
 func (s Span) End() time.Duration { return s.Start + s.Dur }
 
 // Recorder collects pipeline spans. It implements obs.Observer (phase
-// boundaries become "phase" envelope spans) plus the obs.SpanObserver
-// extension (per-job spans from the level-wise scheduler), and is safe for
-// concurrent use — attach it to a pipeline via obs.Tee alongside logging
-// and progress observers.
+// boundaries become "phase" envelope spans beside the per-job spans of the
+// level-wise scheduler), and is safe for concurrent use — attach it to the
+// solve context via obs.Tee alongside logging and progress observers.
 type Recorder struct {
 	obs.Nop
 	mu      sync.Mutex
@@ -105,7 +104,7 @@ func (r *Recorder) PhaseEnd(phase string, elapsed time.Duration) {
 	})
 }
 
-// Span implements obs.SpanObserver.
+// Span implements obs.Observer.
 func (r *Recorder) Span(name, phase string, worker, level int, hash uint64, start time.Time, elapsed time.Duration) {
 	sp := Span{
 		Name:   name,

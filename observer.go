@@ -1,10 +1,11 @@
 package rahtm
 
 // Observer tracing surface: the pipeline emits phase boundaries, subproblem
-// solves, annealing samples, beam rounds, and LP iteration counts to an
-// Observer supplied via PipelineConfig.Observer or Mapper.Observer. The
-// implementation lives in internal/obs so every pipeline layer can import
-// it; these aliases are the supported public surface.
+// solves, annealing samples, beam rounds, LP iteration counts, scheduler
+// spans and worker-pool reports to the Observer the solve context carries
+// (WithObserver, or Request.Observer on Solve). The implementation lives in
+// internal/obs so every pipeline layer can import it; these aliases are the
+// supported public surface.
 
 import (
 	"io"
@@ -16,30 +17,12 @@ import (
 // concurrent use: the level-wise scheduler solves Phase 2 subproblems and
 // Phase 3 merges on worker goroutines (and Phase 3 additionally scores beam
 // candidates from a worker pool), so callbacks fire concurrently whenever
-// the pipeline runs with Parallelism != 1. A nil Observer anywhere in the
-// configuration is treated as a no-op.
+// the pipeline runs with Parallelism != 1. Spans fire from worker
+// goroutines in completion order — timing-domain, not deterministic.
 type Observer = obs.Observer
 
-// WorkerObserver is an optional Observer extension: implementations also
-// receive per-phase worker-pool reports (worker count, jobs dispatched,
-// cumulative busy time) from the level-wise scheduler. LogObserver and
-// NopObserver implement it.
-type WorkerObserver = obs.WorkerObserver
-
-// SpanObserver is an optional Observer extension: implementations receive
-// one timed span per scheduler job (representative solves, merges, level
-// preparation, sibling fan-outs). Spans fire from worker goroutines in
-// completion order — timing-domain, not deterministic. SpanRecorder
-// implements it.
-type SpanObserver = obs.SpanObserver
-
-// ProgressObserver is an optional Observer extension: implementations learn
-// how many scheduler jobs each phase is about to dispatch, enabling live
-// done/total progress views. ProgressTracker implements it.
-type ProgressObserver = obs.ProgressObserver
-
-// NopObserver ignores every event. Useful for embedding in partial
-// implementations that only care about some events.
+// NopObserver ignores every event. Embed it in implementations that only
+// care about some events.
 type NopObserver = obs.Nop
 
 // LogObserver writes one line per event to an io.Writer, serialized by an
@@ -51,16 +34,8 @@ type LogObserver = obs.Log
 // "rahtm: " line prefix.
 func NewLogObserver(w io.Writer) *LogObserver { return obs.NewLog(w) }
 
-// NewLogObserverPrefix returns a LogObserver with a custom line prefix, for
-// labeling runs in multi-run output. An empty prefix emits bare lines.
-func NewLogObserverPrefix(w io.Writer, prefix string) *LogObserver {
-	return obs.NewLogPrefix(w, prefix)
-}
-
 // TeeObservers fans every pipeline event out to all non-nil observers, so
-// logging, span recording, and live progress compose. Optional extension
-// events (WorkerObserver, SpanObserver, ProgressObserver) reach only the
-// members that implement them.
+// logging, span recording, and live progress compose.
 func TeeObservers(members ...Observer) Observer { return obs.Tee(members...) }
 
 // Phase names passed to Observer.PhaseStart/PhaseEnd.

@@ -21,13 +21,14 @@
 //	_ = res.MCL                                // max channel load
 //
 // Library callers holding Workload/Torus values pass them directly via
-// Request.Work and Request.Torus, or use the Mapper methods, which are thin
-// wrappers over the same path.
+// Request.Work and Request.Torus, and a configured pipeline via
+// Request.Config; Result.Detail then carries the full pipeline output.
 //
-// Observability: pipeline runs emit trace events to an Observer
-// (observer.go), always-on metrics counters snapshot via Metrics(), and
-// span timelines / live progress attach through SpanRecorder,
-// ProgressTracker, and ServeMetrics (telemetry.go; DESIGN.md §8).
+// Observability: pipeline runs emit trace events to the Observer the solve
+// context carries (WithObserver, or Request.Observer; observer.go),
+// always-on metrics counters snapshot via Metrics(), and span timelines /
+// live progress attach as observers through SpanRecorder, ProgressTracker,
+// and ServeMetrics (telemetry.go; DESIGN.md §8).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured results of every figure and table.
@@ -150,25 +151,18 @@ type Mapper struct {
 	// scheduler: 0 uses all CPUs, 1 runs fully sequentially. Results are
 	// identical for every setting.
 	Parallelism int
-	// Observer receives pipeline trace events (nil = no tracing).
-	Observer Observer
 }
 
 // Name implements ProcMapper.
 func (Mapper) Name() string { return "RAHTM" }
 
-// request builds the Solve request equivalent to a legacy method call.
-func (m Mapper) request(w *Workload, t *Torus, conc int) Request {
-	return Request{Work: w, Torus: t, Conc: conc, Config: &m}
-}
-
 // MapProcs implements ProcMapper: it runs clustering, hierarchical MILP
 // mapping and beam merging, returning a process-to-node mapping.
 //
-// Deprecated: MapProcs/MapProcsCtx and Pipeline/PipelineCtx are the legacy
-// split entry points; new code should call Solve with a Request, which
-// subsumes both the context and the configuration (and is what the serving
-// layer speaks). These wrappers remain for compatibility.
+// MapProcs and MapProcsCtx are how a Mapper satisfies ProcMapper and
+// CtxProcMapper, so it can sit in the registry, StandardMappers and
+// Compare beside the baselines. Callers that want the phase statistics or
+// the degraded flag call Solve with Request.Config and read Result.Detail.
 func (m Mapper) MapProcs(w *Workload, t *Torus, conc int) (Mapping, error) {
 	return m.MapProcsCtx(context.Background(), w, t, conc)
 }
@@ -176,42 +170,14 @@ func (m Mapper) MapProcs(w *Workload, t *Torus, conc int) (Mapping, error) {
 // MapProcsCtx is MapProcs under a context. Canceling ctx aborts the
 // pipeline promptly with ctx.Err(); letting its deadline expire instead
 // degrades gracefully — the pipeline finishes from the best results found
-// so far and still returns a valid mapping (flagged in the PipelineResult
-// stats, which this method discards; use PipelineCtx to observe it).
-//
-// Deprecated: call Solve with a Request instead; Result.Mapping is this
-// method's return value.
+// so far and still returns a valid mapping. Trace events go to the
+// observer ctx carries (WithObserver).
 func (m Mapper) MapProcsCtx(ctx context.Context, w *Workload, t *Torus, conc int) (Mapping, error) {
-	res, err := solve(ctx, m.request(w, t, conc), false)
+	res, err := solve(ctx, Request{Work: w, Torus: t, Conc: conc, Config: &m}, false)
 	if err != nil {
 		return nil, err
 	}
 	return res.Mapping, nil
-}
-
-// Pipeline runs the full RAHTM pipeline and returns the detailed result
-// (mapping, node graph, phase statistics). Tori with non-power-of-two
-// dimensions are handled by §III-B partitioning (power-of-two boxes mapped
-// independently after a cut-minimizing split).
-//
-// Deprecated: call Solve with a Request instead; Result.Detail is this
-// method's return value.
-func (m Mapper) Pipeline(w *Workload, t *Torus, conc int) (*PipelineResult, error) {
-	return m.PipelineCtx(context.Background(), w, t, conc)
-}
-
-// PipelineCtx is Pipeline under a context. A canceled ctx returns ctx.Err();
-// an expired deadline returns a valid best-effort result with
-// Stats.Degraded set.
-//
-// Deprecated: call Solve with a Request instead; Result.Detail is this
-// method's return value.
-func (m Mapper) PipelineCtx(ctx context.Context, w *Workload, t *Torus, conc int) (*PipelineResult, error) {
-	res, err := solve(ctx, m.request(w, t, conc), false)
-	if err != nil {
-		return nil, err
-	}
-	return res.Detail, nil
 }
 
 // Baseline mappers (see §IV "Other mappings").

@@ -1,6 +1,7 @@
 package rahtm
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -34,7 +35,7 @@ func TestMapperEndToEnd(t *testing.T) {
 func TestPipelineStatsExposed(t *testing.T) {
 	tp := NewTorus(4, 4)
 	w := Halo2D(4, 4, 1)
-	res, err := (Mapper{}).Pipeline(w, tp, 1)
+	res, err := solveDetail(context.Background(), Mapper{}, w, tp, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,8 @@ package rahtm
 // The unified Request/Result API: a serializable description of one mapping
 // problem, a serializable answer, and a single Solve entry point that both
 // library callers and the rahtm-serve daemon (internal/serve) go through.
-// The legacy Mapper.MapProcs / Pipeline method pairs are thin wrappers over
-// the same path; see DESIGN.md §10.
+// Mapper.MapProcs/MapProcsCtx, which make RAHTM a ProcMapper, run the same
+// path; see DESIGN.md §10.
 
 import (
 	"context"
@@ -21,6 +21,7 @@ import (
 	"rahtm/internal/graph"
 	"rahtm/internal/mappers"
 	"rahtm/internal/metrics"
+	"rahtm/internal/obs"
 	"rahtm/internal/routing"
 	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
@@ -79,7 +80,8 @@ type Request struct {
 	// Config supplies a fully configured RAHTM pipeline, overriding
 	// Mapper/Parallelism/BeamWidth. Library-side only; not serialized.
 	Config *Mapper `json:"-"`
-	// Observer receives pipeline trace events. Library-side only; not
+	// Observer receives pipeline trace events, overriding any observer
+	// the Solve context carries (WithObserver). Library-side only; not
 	// serialized.
 	Observer Observer `json:"-"`
 
@@ -332,16 +334,19 @@ func (r *Request) Key() (string, error) {
 }
 
 // Solve is the single mapping entry point: it materializes the request,
-// resolves the mapper, applies the deadline, runs the solve, and returns a
-// Result with quality metrics filled in. Canceling ctx outright aborts with
-// ctx.Err(); an expired deadline (from ctx or Request.DeadlineMS) instead
-// degrades to the best valid mapping found so far, flagged Result.Degraded.
+// resolves the mapper, applies the deadline, runs the solve, validates the
+// mapping, and returns a Result with quality metrics filled in. A mapping
+// that does not place exactly Conc processes on every node is an error.
+// Canceling ctx outright aborts with ctx.Err(); an expired deadline (from
+// ctx or Request.DeadlineMS) instead degrades to the best valid mapping
+// found so far, flagged Result.Degraded. Pipeline trace events go to
+// Request.Observer, or else to the observer ctx carries (WithObserver).
 func Solve(ctx context.Context, req Request) (*Result, error) {
 	return solve(ctx, req, true)
 }
 
-// solve implements Solve. The legacy wrappers pass measure=false to skip
-// the proc-level MCL/hop-bytes evaluation their contracts never included.
+// solve implements Solve. Mapper.MapProcsCtx passes measure=false to skip
+// the proc-level MCL/hop-bytes evaluation its contract never included.
 func solve(ctx context.Context, req Request, measure bool) (res *Result, err error) {
 	w, t, err := (&req).Materialize()
 	if err != nil {
@@ -369,6 +374,7 @@ func solve(ctx context.Context, req Request, measure bool) (res *Result, err err
 			}
 		}()
 	}
+	ctx = obs.NewContext(ctx, req.Observer)
 	if req.DeadlineMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
@@ -391,7 +397,6 @@ func solve(ctx context.Context, req Request, measure bool) (res *Result, err err
 			Merge:               m.Merge,
 			DisableSiblingReuse: m.DisableSiblingReuse,
 			Parallelism:         m.Parallelism,
-			Observer:            m.Observer,
 		})
 		if err != nil {
 			return nil, err
@@ -412,6 +417,9 @@ func solve(ctx context.Context, req Request, measure bool) (res *Result, err err
 			return nil, err
 		}
 	}
+	if err := checkMapping(res.Mapping, t.N(), w.Procs(), conc); err != nil {
+		return nil, fmt.Errorf("rahtm: mapper %s: %w", res.Mapper, err)
+	}
 	res.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if measure {
 		res.MCL = routing.MaxChannelLoad(t, w.Graph, res.Mapping, routing.MinimalAdaptive{}.WithScope(scope))
@@ -420,16 +428,31 @@ func solve(ctx context.Context, req Request, measure bool) (res *Result, err err
 	return res, nil
 }
 
+// checkMapping rejects a mapping that does not place procs processes on
+// nodes [0, nodes) with exactly conc on each. With procs == nodes x conc,
+// no node holding more than conc means every node holds exactly conc.
+func checkMapping(m Mapping, nodes, procs, conc int) error {
+	if len(m) != procs {
+		return fmt.Errorf("mapping covers %d processes, want %d", len(m), procs)
+	}
+	load := make([]int, nodes)
+	for p, n := range m {
+		if n < 0 || n >= nodes {
+			return fmt.Errorf("process %d mapped to node %d, want [0,%d)", p, n, nodes)
+		}
+		if load[n]++; load[n] > conc {
+			return fmt.Errorf("node %d holds more than %d processes", n, conc)
+		}
+	}
+	return nil
+}
+
 // resolveMapper picks the mapper for the request: the Config escape hatch
 // when set, the named registry entry otherwise, with the serialized
-// Parallelism/BeamWidth/Observer knobs applied to RAHTM mappers.
+// Parallelism/BeamWidth knobs applied to RAHTM mappers.
 func (r *Request) resolveMapper(t *Torus) (ProcMapper, error) {
 	if r.Config != nil {
-		m := *r.Config
-		if r.Observer != nil && m.Observer == nil {
-			m.Observer = r.Observer
-		}
-		return m, nil
+		return *r.Config, nil
 	}
 	name := r.Mapper
 	if name == "" {
@@ -444,9 +467,6 @@ func (r *Request) resolveMapper(t *Torus) (ProcMapper, error) {
 		rm.Parallelism = r.Parallelism
 		if r.BeamWidth > 0 {
 			rm.Merge.BeamWidth = r.BeamWidth
-		}
-		if r.Observer != nil {
-			rm.Observer = r.Observer
 		}
 		m = rm
 	}

@@ -130,8 +130,9 @@ func TestRegisterMapper(t *testing.T) {
 }
 
 // TestSolveMatchesLegacyWrappers pins the API redesign's compatibility
-// contract: the deprecated MapProcs/Pipeline entry points are wrappers over
-// Solve and must keep producing byte-identical mappings.
+// contract: MapProcs (how Mapper satisfies ProcMapper) and a Request.Config
+// pipeline run the same path as a named Solve and must keep producing
+// byte-identical mappings.
 func TestSolveMatchesLegacyWrappers(t *testing.T) {
 	w := MustWorkload(t)
 	topo := NewTorus(4, 4)
@@ -154,12 +155,49 @@ func TestSolveMatchesLegacyWrappers(t *testing.T) {
 		t.Error("Solve dropped the pipeline stats/detail for the RAHTM mapper")
 	}
 
-	pipe, err := Mapper{}.Pipeline(w, topo, 1)
+	cfg, err := Solve(context.Background(), Request{Work: w, Torus: topo, Conc: 1, Config: &Mapper{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(pipe.ProcToNode, res.Mapping) {
-		t.Error("Pipeline wrapper diverged from Solve")
+	if !reflect.DeepEqual(cfg.Detail.ProcToNode, res.Mapping) {
+		t.Error("Request.Config pipeline diverged from the named mapper")
+	}
+}
+
+// funcMapper is a registry test mapper that answers with f's mapping.
+type funcMapper func(w *Workload, t *Torus, conc int) Mapping
+
+func (funcMapper) Name() string { return "func" }
+
+func (f funcMapper) MapProcs(w *Workload, t *Torus, conc int) (Mapping, error) {
+	return f(w, t, conc), nil
+}
+
+// TestSolveRejectsInvalidMappings: Solve validates a mapper's answer before
+// measuring or returning it. A mapping that crowds a node, misses processes
+// or names a node off the torus is an error, not a result.
+func TestSolveRejectsInvalidMappings(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		f    funcMapper
+	}{
+		{"crowded", func(w *Workload, _ *Torus, _ int) Mapping { return make(Mapping, w.Procs()) }},
+		{"short", func(*Workload, *Torus, int) Mapping { return Mapping{0} }},
+		{"off-torus", func(w *Workload, t *Torus, _ int) Mapping {
+			m := make(Mapping, w.Procs())
+			for p := range m {
+				m[p] = p + 1
+			}
+			return m
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			RegisterMapper("invalid-"+c.name, func(*Torus) ProcMapper { return c.f })
+			res, err := Solve(context.Background(), Request{Workload: "BT", Topo: []int{4, 4}, Mapper: "invalid-" + c.name})
+			if err == nil {
+				t.Fatalf("invalid mapping accepted: MCL %v, mapping %v", res.MCL, res.Mapping)
+			}
+		})
 	}
 }
 

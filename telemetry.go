@@ -5,8 +5,8 @@ package rahtm
 // internal/telemetry. Counters are process-wide and always on (the hot
 // paths batch and stripe their updates; overhead is within 2% of pipeline
 // wall time — see DESIGN.md §8); spans and progress are only collected when
-// a SpanRecorder / ProgressTracker observer is attached to the pipeline,
-// typically composed with TeeObservers.
+// a SpanRecorder / ProgressTracker observer rides the solve context
+// (WithObserver or Request.Observer), typically composed with TeeObservers.
 
 import (
 	"io"
@@ -54,6 +54,11 @@ var (
 	NewScope = telemetry.NewScope
 	// WithScope attaches a scope to a context for Solve to pick up.
 	WithScope = telemetry.WithScope
+	// WithObserver attaches an Observer to a context: every RAHTM pipeline
+	// run under it (Solve, Mapper.MapProcsCtx, CompareCtx) reports its
+	// events there. A nil observer returns the context unchanged. Unlike a
+	// scope, an observer changes nothing in the Result.
+	WithObserver = obs.NewContext
 	// ScopeFrom retrieves the scope carried by a context (nil when absent).
 	ScopeFrom = telemetry.ScopeFrom
 	// NewTraceID draws a 16-hex-character random trace identifier.

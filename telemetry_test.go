@@ -2,6 +2,7 @@ package rahtm
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"runtime"
 	"strings"
@@ -17,8 +18,8 @@ func runTraced(t *testing.T, parallelism int) (*PipelineResult, *SpanRecorder, *
 	top := NewTorus(4, 4, 8) // 128 nodes
 	rec := NewSpanRecorder()
 	prog := NewProgressTracker()
-	m := Mapper{Parallelism: parallelism, Observer: TeeObservers(rec, prog)}
-	res, err := m.Pipeline(w, top, 1)
+	ctx := WithObserver(context.Background(), TeeObservers(rec, prog))
+	res, err := solveDetail(ctx, Mapper{Parallelism: parallelism}, w, top, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
