@@ -5,7 +5,7 @@
 //	rahtm-bench -fig 9            # comm/comp fractions    (Figure 9)
 //	rahtm-bench -fig 10           # communication time     (Figure 10)
 //	rahtm-bench -fig opt          # optimization time      (Section V-B)
-//	rahtm-bench -fig scale        # 512/4k/16k/64k scaling trajectory
+//	rahtm-bench -fig scale        # 512/4k/16k/64k scaling trajectory, CG at 4k
 //	rahtm-bench -fig all
 //
 // Scale and topology are adjustable:
@@ -410,24 +410,34 @@ type scaleJSON struct {
 // scaleLadder is the §V scaling ladder: a periodic 2-D halo exchange (the
 // only suite workload whose process grid exists at every rung) on the
 // BG/Q-style 2-ary tori at 512, 4096, the paper's full 16,384 processes,
-// and a 65,536-process rung on a 2048-node torus.
+// and a 65,536-process rung on a 2048-node torus, plus NAS CG at 4096
+// processes — the merge-bound paper workload, whose all-to-all row
+// butterflies give Phase 3 far more cross flows to score than the halo.
 var scaleLadder = []struct {
-	procs, rows, cols int
-	topo              string
-	conc              int
+	procs    int
+	topo     string
+	conc     int
+	workload func() (*rahtm.Workload, error)
 }{
-	{512, 16, 32, "4x4x4x2", 4},
-	{4096, 64, 64, "4x4x4x4", 16},
-	{16384, 128, 128, "4x4x4x4x2", 32},
-	{65536, 256, 256, "4x4x4x4x4x2", 32},
+	{512, "4x4x4x2", 4, halo(16, 32)},
+	{4096, "4x4x4x4", 16, halo(64, 64)},
+	{4096, "4x4x4x4", 16, func() (*rahtm.Workload, error) { return rahtm.CG(4096) }},
+	{16384, "4x4x4x4x2", 32, halo(128, 128)},
+	{65536, "4x4x4x4x4x2", 32, halo(256, 256)},
+}
+
+// halo returns a ladder workload constructor for a rows x cols periodic
+// 2-D halo exchange.
+func halo(rows, cols int) func() (*rahtm.Workload, error) {
+	return func() (*rahtm.Workload, error) { return rahtm.Halo2D(rows, cols, 1), nil }
 }
 
 // scaleTrajectory runs the ladder up to maxProcs and reports one row per
 // rung. Counter deltas attribute delta-eval hits/fallbacks and solver
 // effort to each rung individually.
 func scaleTrajectory(ctx context.Context, m rahtm.Mapper, maxProcs int) []scaleJSON {
-	fmt.Println("pipeline scaling trajectory (halo-2d)")
-	fmt.Printf("%-7s %-12s %6s %12s %12s %10s %12s %12s %10s\n", "procs", "topology", "conc", "merge", "wall", "mcl", "candidates", "abandoned", "peak-rss")
+	fmt.Println("pipeline scaling trajectory")
+	fmt.Printf("%-7s %-12s %-14s %6s %12s %12s %10s %12s %12s %10s\n", "procs", "topology", "workload", "conc", "merge", "wall", "mcl", "candidates", "abandoned", "peak-rss")
 	var out []scaleJSON
 	for _, lvl := range scaleLadder {
 		if lvl.procs > maxProcs {
@@ -437,7 +447,10 @@ func scaleTrajectory(ctx context.Context, m rahtm.Mapper, maxProcs int) []scaleJ
 		if err != nil {
 			fatal(err)
 		}
-		w := rahtm.Halo2D(lvl.rows, lvl.cols, 1)
+		w, err := lvl.workload()
+		if err != nil {
+			fatal(err)
+		}
 		prev := rahtm.Metrics()
 		start := time.Now()
 		res, err := solvePipeline(ctx, m, w, t, lvl.conc)
@@ -453,11 +466,11 @@ func scaleTrajectory(ctx context.Context, m rahtm.Mapper, maxProcs int) []scaleJ
 		row.addMetrics(rahtm.Metrics().Sub(prev))
 		out = append(out, row)
 		if err != nil {
-			fmt.Printf("%-7d %-12s %6d  error: %v\n", lvl.procs, lvl.topo, lvl.conc, err)
+			fmt.Printf("%-7d %-12s %-14s %6d  error: %v\n", lvl.procs, lvl.topo, w.Name, lvl.conc, err)
 			continue
 		}
-		fmt.Printf("%-7d %-12s %6d %12v %12v %10.3f %12d %12d %8.0fMB\n",
-			lvl.procs, lvl.topo, lvl.conc,
+		fmt.Printf("%-7d %-12s %-14s %6d %12v %12v %10.3f %12d %12d %8.0fMB\n",
+			lvl.procs, lvl.topo, w.Name, lvl.conc,
 			res.Stats.MergeTime.Round(time.Millisecond), wall.Round(time.Millisecond),
 			res.MCL, row.BeamCandidates, row.BeamAbandoned, row.PeakRSSMB)
 	}

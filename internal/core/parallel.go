@@ -22,6 +22,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"rahtm/internal/workerpanic"
 )
 
 // workerCount resolves a Parallelism setting: 0 means all CPUs, anything
@@ -72,7 +74,9 @@ func siblingGroups(n int, disableReuse bool, keyOf func(i int) uint64) (rep []in
 // dispatch of further indices and returns ctx's error; indices already
 // running complete (their solvers poll the same context and bail quickly).
 // With workers <= 1 it degenerates to a plain loop (worker 0) with a
-// cancellation check per index — the fully sequential mode.
+// cancellation check per index — the fully sequential mode. A panic in fn
+// on a worker goroutine is re-raised on the caller once every worker has
+// returned (see workerpanic).
 func forEach(ctx context.Context, workers, n int, fn func(worker, i int)) error {
 	if workers > n {
 		workers = n
@@ -88,13 +92,15 @@ func forEach(ctx context.Context, workers, n int, fn func(worker, i int)) error 
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var panics workerpanic.Slot
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer panics.Catch()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n || hardCancel(ctx) != nil {
+				if i >= n || hardCancel(ctx) != nil || panics.Caught() {
 					return
 				}
 				fn(w, i)
@@ -102,6 +108,7 @@ func forEach(ctx context.Context, workers, n int, fn func(worker, i int)) error 
 		}(w)
 	}
 	wg.Wait()
+	panics.Rethrow()
 	return hardCancel(ctx)
 }
 

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rahtm/internal/graph"
 	"rahtm/internal/topology"
+	"rahtm/internal/workerpanic"
 )
 
 // halo3D builds a periodic 3-D nearest-neighbor exchange on x*y*z tasks.
@@ -156,5 +160,35 @@ func TestParallelWorkerCountResolution(t *testing.T) {
 	}
 	if got := innerParallelism(8, 1); got != 8 {
 		t.Errorf("innerParallelism(8,1) = %d", got)
+	}
+}
+
+// TestForEachWorkerPanic: a panic in fn on a worker goroutine is re-raised
+// on forEach's caller, after every worker has returned, as a
+// *workerpanic.Panic carrying the worker's value and stack.
+func TestForEachWorkerPanic(t *testing.T) {
+	var ran atomic.Int64
+	defer func() {
+		p, ok := recover().(*workerpanic.Panic)
+		if !ok {
+			t.Fatal("worker panic not re-raised as *workerpanic.Panic")
+		}
+		if p.Value != "injected" || !strings.Contains(string(p.Stack), "forEachPanicker") {
+			t.Fatalf("re-raised %v with stack:\n%s", p.Value, p.Stack)
+		}
+		if ran.Load() == 0 {
+			t.Fatal("no index ran")
+		}
+	}()
+	_ = forEach(context.Background(), 2, 16, func(_, i int) {
+		ran.Add(1)
+		forEachPanicker(i)
+	})
+	t.Fatal("forEach returned after a worker panicked")
+}
+
+func forEachPanicker(i int) {
+	if i == 5 {
+		panic("injected")
 	}
 }

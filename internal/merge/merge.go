@@ -57,6 +57,7 @@ import (
 	"rahtm/internal/routing"
 	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
+	"rahtm/internal/workerpanic"
 )
 
 // Beam-search counters on the process-wide registry. The scoring loops
@@ -392,6 +393,7 @@ func newMerger(ctx context.Context, g *graph.Comm, children []*Block, cubeShape 
 	m.obs = obs.FromContext(ctx)
 	m.scope = telemetry.ScopeFrom(ctx)
 	m.alg = routing.MinimalAdaptive{}.WithScope(m.scope)
+	m.disp = m.alg.DispTable(m.parent)
 	m.workers = cfg.Parallelism
 	if m.workers <= 0 {
 		m.workers = runtime.GOMAXPROCS(0)
@@ -445,6 +447,9 @@ type merger struct {
 	// traffic is attributed to the owning request.
 	scope *telemetry.Scope
 	alg   routing.MinimalAdaptive
+	// disp is the parent's displacement deposit table, built once through
+	// alg: every sparse scorer routes its flows through it. Read-only.
+	disp *routing.DispTable
 	// workers is the resolved Parallelism.
 	workers int
 
@@ -551,10 +556,11 @@ func (m *merger) placement(child int, cand Candidate, o Orientation) []int {
 // graph flow between the two task->position maps (a may equal b for
 // internal flows), in a fixed order: flows out of a's tasks, then flows
 // from b's remaining tasks into a. includeInternal keeps flows out of a
-// whose destination a and b both hold (all of them when a == b). Every sink — dense AddLoads on the greedy
-// completion path, sparse AddLoadsDelta in the scorers — walks flows
-// through here, so their per-channel totals agree bit for bit (see
-// routing.AddLoadsDelta).
+// whose destination a and b both hold (all of them when a == b). Both
+// sinks — dense AddLoads on the greedy completion path, the sparse
+// DispTable.AddDelta in the scorers — walk flows through here in this
+// order, and deposit each flow's bits in the same order, so their
+// per-channel totals agree bit for bit (see routing.DispTable).
 func (m *merger) eachFlow(aTasks []int, aPos []int, bTasks []int, bPos []int, includeInternal bool, fn func(src, dst int, vol float64)) {
 	fs := m.scratch.Get().(*flowScratch)
 	fs.gen++
@@ -595,14 +601,16 @@ func (m *merger) eachFlow(aTasks []int, aPos []int, bTasks []int, bPos []int, in
 // addInternalDelta routes the flows among tasks, placed at pos, into dv.
 func (m *merger) addInternalDelta(tasks, pos []int, dv *routing.DeltaVec) {
 	m.eachFlow(tasks, pos, tasks, pos, true, func(src, dst int, vol float64) {
-		m.alg.AddLoadsDelta(m.parent, src, dst, vol, dv)
+		m.disp.AddDelta(src, dst, vol, dv)
 	})
 }
 
 // parallel calls fn(w, i) for every i in [0, n) on up to workers goroutines
 // and returns once all calls have. Workers pull indices from a shared
 // counter; w identifies the calling worker so fn can use per-worker scratch.
-// Results must depend only on i, never on which worker ran it.
+// Results must depend only on i, never on which worker ran it. A panic in fn
+// on a worker goroutine is re-raised on the caller once every worker has
+// returned (see workerpanic).
 func parallel(n, workers int, fn func(w, i int)) {
 	if workers > n {
 		workers = n
@@ -615,16 +623,19 @@ func parallel(n, workers int, fn func(w, i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var panics workerpanic.Slot
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			defer panics.Catch()
+			for i := int(next.Add(1) - 1); i < n && !panics.Caught(); i = int(next.Add(1) - 1) {
 				fn(w, i)
 			}
 		}(w)
 	}
 	wg.Wait()
+	panics.Rethrow()
 }
 
 // canceled polls the merge context without blocking.
@@ -648,12 +659,13 @@ type pairEdge struct {
 }
 
 // orderInputs is what the merge-order pair evaluations read: per (child,
-// sampled orientation) pinned placements and internal-load snapshots, and
-// per child pair its cross flows.
+// sampled orientation) pinned placements, internal-load snapshots and the
+// snapshots' peak loads, and per child pair its cross flows.
 type orderInputs struct {
 	ko    int // orientations sampled per child
 	pl    [][][]int
 	snaps [][]routing.Snapshot
+	peaks [][]float64
 	pairs []orderPair
 	edges [][]pairEdge
 }
@@ -668,10 +680,11 @@ func (m *merger) orderSetup() *orderInputs {
 	for ko > 1 && ko*ko > m.cfg.MaxPairEvals {
 		ko--
 	}
-	in := &orderInputs{ko: ko, pl: make([][][]int, n), snaps: make([][]routing.Snapshot, n)}
+	in := &orderInputs{ko: ko, pl: make([][][]int, n), snaps: make([][]routing.Snapshot, n), peaks: make([][]float64, n)}
 	for i := range in.pl {
 		in.pl[i] = make([][]int, ko)
 		in.snaps[i] = make([]routing.Snapshot, ko)
+		in.peaks[i] = make([]float64, ko)
 	}
 	dvs := make([]*routing.DeltaVec, m.workers)
 	parallel(n*ko, m.workers, func(w, u int) {
@@ -688,6 +701,7 @@ func (m *merger) orderSetup() *orderInputs {
 		m.addInternalDelta(m.children[i].Tasks, p, dv)
 		in.pl[i][oi] = p
 		in.snaps[i][oi] = dv.Snapshot()
+		in.peaks[i][oi] = dv.Peak()
 	})
 
 	pairIdx := make([][]int, n)
@@ -746,6 +760,10 @@ func (m *merger) rankChildren(in *orderInputs, best []float64) []int {
 // flows, sparsely, and is abandoned as soon as its running peak reaches the
 // pair's best score so far: acceptance is strict (mcl < best), so such an
 // orientation pair could not have changed best and the ranking is exact.
+// An orientation pair is abandoned before either snapshot is replayed when
+// one snapshot's own peak already reaches the best: deposits are
+// non-negative, so no replayed channel falls below either snapshot's value
+// and the replay would stop at the same check.
 func (m *merger) mergeOrder() []int {
 	if len(m.children) == 1 {
 		return []int{0}
@@ -766,7 +784,7 @@ func (m *merger) mergeOrder() []int {
 		if ow.dv == nil {
 			ow.dv = routing.NewDeltaVec(m.parent.NumChannels())
 		}
-		dv, alg := ow.dv, m.alg
+		dv, disp := ow.dv, m.disp
 		i, j := in.pairs[pi].i, in.pairs[pi].j
 		bst := math.Inf(1)
 		var evals, abandoned int64 // per pair, so workers do not share cache lines per eval
@@ -782,6 +800,10 @@ func (m *merger) mergeOrder() []int {
 					continue
 				}
 				evals++
+				if max(in.peaks[i][oi], in.peaks[j][oj]) >= bst {
+					abandoned++
+					continue
+				}
 				dv.Reset()
 				dv.AddSnapshot(in.snaps[i][oi], 0)
 				dv.AddSnapshot(in.snaps[j][oj], 0)
@@ -791,9 +813,9 @@ func (m *merger) mergeOrder() []int {
 				}
 				for _, e := range in.edges[pi] {
 					if e.fromJ {
-						alg.AddLoadsDelta(m.parent, plj[e.bi], pli[e.ai], e.vol, dv)
+						disp.AddDelta(plj[e.bi], pli[e.ai], e.vol, dv)
 					} else {
-						alg.AddLoadsDelta(m.parent, pli[e.ai], plj[e.bi], e.vol, dv)
+						disp.AddDelta(pli[e.ai], plj[e.bi], e.vol, dv)
 					}
 					if dv.Peak() >= bst {
 						abandoned++
@@ -1116,13 +1138,13 @@ func (m *merger) addCrossEdgesBounded(edges []crossEdge, st *state, cp []int, dv
 	if dv.Peak() > u {
 		return false
 	}
-	alg := m.alg
+	disp := m.disp
 	for _, e := range edges {
 		pp := st.pos[e.s][e.oi]
 		if e.toChild {
-			alg.AddLoadsDelta(m.parent, pp, cp[e.ci], e.vol, dv)
+			disp.AddDelta(pp, cp[e.ci], e.vol, dv)
 		} else {
-			alg.AddLoadsDelta(m.parent, cp[e.ci], pp, e.vol, dv)
+			disp.AddDelta(cp[e.ci], pp, e.vol, dv)
 		}
 		if dv.Peak() > u {
 			return false

@@ -3,12 +3,14 @@ package merge
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"rahtm/internal/graph"
 	"rahtm/internal/routing"
 	"rahtm/internal/topology"
+	"rahtm/internal/workerpanic"
 )
 
 func TestOrientationCounts(t *testing.T) {
@@ -306,5 +308,28 @@ func TestApplyFastMatchesApply(t *testing.T) {
 				seen[fast] = true
 			}
 		}
+	}
+}
+
+// TestParallelWorkerPanic: a panic in fn on a scoring worker is re-raised
+// on parallel's caller as a *workerpanic.Panic carrying the worker's value
+// and stack, instead of ending the process.
+func TestParallelWorkerPanic(t *testing.T) {
+	defer func() {
+		p, ok := recover().(*workerpanic.Panic)
+		if !ok {
+			t.Fatal("worker panic not re-raised as *workerpanic.Panic")
+		}
+		if p.Value != "injected" || !strings.Contains(string(p.Stack), "parallelPanicker") {
+			t.Fatalf("re-raised %v with stack:\n%s", p.Value, p.Stack)
+		}
+	}()
+	parallel(16, 2, func(_, i int) { parallelPanicker(i) })
+	t.Fatal("parallel returned after a worker panicked")
+}
+
+func parallelPanicker(i int) {
+	if i == 5 {
+		panic("injected")
 	}
 }

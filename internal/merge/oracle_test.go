@@ -66,21 +66,36 @@ func oracleMerge(t *testing.T, g *graph.Comm, children []*Block, cubeShape, chil
 }
 
 // oracleOrder is mergeOrder with every orientation pair scored in full into
-// a zeroed dense vector.
+// a zeroed dense vector. It takes only the placements, pairs and cross
+// flows from orderSetup; each child's internal loads are routed again with
+// AddLoads, so the sparse table path is checked end to end.
 func (m *merger) oracleOrder() []int {
 	if len(m.children) == 1 {
 		return []int{0}
 	}
 	in := m.orderSetup()
+	internal := make([][][]float64, len(m.children))
+	for i := range internal {
+		tasks := m.children[i].Tasks
+		internal[i] = make([][]float64, in.ko)
+		for oi, p := range in.pl[i] {
+			loads := make([]float64, m.parent.NumChannels())
+			m.eachFlow(tasks, p, tasks, p, true, func(a, b int, vol float64) {
+				m.alg.AddLoads(m.parent, a, b, vol, loads)
+			})
+			internal[i][oi] = loads
+		}
+	}
 	buf := make([]float64, m.parent.NumChannels())
 	best := make([]float64, len(in.pairs))
 	for pi, p := range in.pairs {
 		bst := -1.0
 		for oi := 0; oi < in.ko; oi++ {
 			for oj := 0; oj < in.ko; oj++ {
-				clear(buf)
-				addSnapshotTo(buf, in.snaps[p.i][oi])
-				addSnapshotTo(buf, in.snaps[p.j][oj])
+				copy(buf, internal[p.i][oi])
+				for ch, v := range internal[p.j][oj] {
+					buf[ch] += v
+				}
 				for _, e := range in.edges[pi] {
 					a, b := in.pl[p.i][oi][e.ai], in.pl[p.j][oj][e.bi]
 					if e.fromJ {
@@ -96,13 +111,6 @@ func (m *merger) oracleOrder() []int {
 		best[pi] = bst
 	}
 	return m.rankChildren(in, best)
-}
-
-// addSnapshotTo replays a snapshot's deltas into a dense load vector.
-func addSnapshotTo(loads []float64, s routing.Snapshot) {
-	for i, ch := range s.Ch {
-		loads[ch] += s.Val[i]
-	}
 }
 
 // addCrossEdges routes the step's cross flows for the child placed at cp

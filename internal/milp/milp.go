@@ -29,6 +29,7 @@ package milp
 import (
 	"container/heap"
 	"context"
+	"errors"
 	"math"
 	"sort"
 	"sync"
@@ -36,6 +37,7 @@ import (
 
 	"rahtm/internal/lp"
 	"rahtm/internal/telemetry"
+	"rahtm/internal/workerpanic"
 )
 
 // Branch-and-bound effort counters on the process-wide registry, flushed
@@ -284,6 +286,9 @@ func (p *Problem) SolveCtx(ctx context.Context, opt Options) *Result {
 		case nodeSolved:
 			sol, err = nd.sol, nd.err
 		}
+		if errors.Is(err, errPrefetchPanic) {
+			break // a prefetch worker panicked; re-raised below once joined
+		}
 		if sol != nil {
 			// Counts only consumed relaxations — identical to the sequential
 			// search; speculative solves that get pruned stay invisible.
@@ -341,6 +346,7 @@ func (p *Problem) SolveCtx(ctx context.Context, opt Options) *Result {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
+	s.panics.Rethrow()
 
 	// Lower bound: min over remaining open nodes and the incumbent.
 	bound := s.incObj
@@ -379,13 +385,26 @@ type search struct {
 	incObj  float64 // published incumbent objective (+Inf before the first)
 	stopped bool
 	wg      sync.WaitGroup
+	// panics keeps the first prefetch-worker panic for the coordinator to
+	// re-raise after the workers have joined.
+	panics workerpanic.Slot
 }
+
+// errPrefetchPanic marks a node whose relaxation panicked on a prefetch
+// worker; the coordinator stops the search when it consumes one.
+var errPrefetchPanic = errors.New("milp: prefetch worker panicked")
+
+// prefetchRelax is the relaxation the prefetch workers run. It is a
+// variable only so tests can inject a worker panic.
+var prefetchRelax = (*Problem).relax
 
 // prefetch is the worker loop: claim the best unsolved open node that the
 // incumbent bound cannot prune, solve its relaxation outside the lock, store
-// the result on the node and broadcast.
+// the result on the node and broadcast. A panic ends the worker and is kept
+// in s.panics.
 func (s *search) prefetch() {
 	defer s.wg.Done()
+	defer s.panics.Catch()
 	s.mu.Lock()
 	for {
 		if s.stopped {
@@ -399,11 +418,30 @@ func (s *search) prefetch() {
 		}
 		nd.state = nodeClaimed
 		s.mu.Unlock()
-		sol, err := s.p.relax(s.ctx, nd, s.lpOpts)
+		sol, err := s.relaxClaimed(nd)
 		s.mu.Lock()
 		nd.sol, nd.err, nd.state = sol, err, nodeSolved
 		s.cond.Broadcast()
 	}
+}
+
+// relaxClaimed solves a node this worker claimed, without the lock. If the
+// relaxation panics, the node is marked solved with errPrefetchPanic — so a
+// coordinator waiting on it wakes up — before the panic unwinds on to
+// prefetch's Catch.
+func (s *search) relaxClaimed(nd *node) (*lp.Solution, error) {
+	finished := false
+	defer func() {
+		if !finished {
+			s.mu.Lock()
+			nd.err, nd.state = errPrefetchPanic, nodeSolved
+			s.cond.Broadcast()
+			s.mu.Unlock()
+		}
+	}()
+	sol, err := prefetchRelax(s.p, s.ctx, nd, s.lpOpts)
+	finished = true
+	return sol, err
 }
 
 // pickUnsolved returns an unsolved open node worth prefetching, or nil. The

@@ -1,11 +1,15 @@
 package milp
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"rahtm/internal/lp"
+	"rahtm/internal/workerpanic"
 )
 
 // randomBinaryMILP builds a random binary MILP with n variables and m LE
@@ -114,4 +118,41 @@ func TestParallelGeneralInteger(t *testing.T) {
 	par := build().Solve(Options{Parallelism: 4})
 	wantSameResult(t, seq, par, "general-integer")
 	wantStatus(t, par, Optimal)
+}
+
+// TestPrefetchWorkerPanic injects a panic into every relaxation a prefetch
+// worker runs. The coordinator must not wait forever on the node the
+// worker claimed, and the panic must surface from Solve — on the caller's
+// goroutine, where it can be recovered — as a *workerpanic.Panic carrying
+// the worker's value and stack. Whether a worker claims a node before the
+// coordinator gets to it is up to the scheduler, so the test runs on at
+// least two CPUs and solves problems until one does.
+func TestPrefetchWorkerPanic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	prev := prefetchRelax
+	prefetchRelax = func(*Problem, context.Context, *node, lp.Options) (*lp.Solution, error) {
+		panic("injected")
+	}
+	defer func() { prefetchRelax = prev }()
+	solve := func(seed int64) (p *workerpanic.Panic) {
+		defer func() {
+			if v := recover(); v != nil {
+				var ok bool
+				if p, ok = v.(*workerpanic.Panic); !ok {
+					t.Fatalf("seed %d: Solve panicked with %T %v, want *workerpanic.Panic", seed, v, v)
+				}
+			}
+		}()
+		randomBinaryMILP(rand.New(rand.NewSource(seed)), 14, 6).Solve(Options{Parallelism: 4})
+		return nil
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		if p := solve(seed); p != nil {
+			if p.Value != "injected" || !strings.Contains(string(p.Stack), "prefetch") {
+				t.Fatalf("re-raised %v with stack:\n%s", p.Value, p.Stack)
+			}
+			return
+		}
+	}
+	t.Fatal("no prefetch worker claimed a node in 200 solves")
 }

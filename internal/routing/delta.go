@@ -26,16 +26,13 @@ package routing
 // for bit. The merger abandons a candidate as soon as that bound shows it cannot
 // survive the beam cutoff.
 //
-// MinimalAdaptive.AddLoadsDelta mirrors AddLoads exactly — the same flow
-// prelude (directions, ties, stencil), the same stencil, the same deposit
-// order — so for any flow the per-channel totals accumulated into a
-// DeltaVec are bit-identical to the totals the dense path accumulates from
-// a zeroed vector. Delta evaluation is therefore byte-exact against a full
-// recomputation, not merely approximately equal.
-
-import (
-	"rahtm/internal/topology"
-)
+// DispTable.AddDelta, the merge scorers' sparse sink, replays deposit
+// sequences recorded by AddLoads' own flow prelude (directions, ties,
+// stencil) in AddLoads' deposit order, so for any flow the per-channel
+// totals accumulated into a DeltaVec are bit-identical to the totals the
+// dense path accumulates from a zeroed vector. Delta evaluation is
+// therefore byte-exact against a full recomputation, not merely
+// approximately equal.
 
 // DeltaVec is a sparse accumulator over a dense channel space. The zero
 // value is not usable; construct with NewDeltaVec. Not safe for concurrent
@@ -145,48 +142,5 @@ func (v *DeltaVec) Snapshot() Snapshot {
 func (v *DeltaVec) AddSnapshot(s Snapshot, chOff int) {
 	for i, ch := range s.Ch {
 		v.Add(int(ch)+chOff, s.Val[i])
-	}
-}
-
-// AddLoadsDelta is AddLoads depositing into a DeltaVec instead of a dense
-// vector. For a given flow it routes through the same stencil and deposits
-// exactly the values, in the same order, as AddLoads would into a zeroed
-// dense vector, so sparse and dense evaluation agree bit-for-bit.
-// A negative vol subtracts. Safe for concurrent use with distinct DeltaVecs.
-func (a MinimalAdaptive) AddLoadsDelta(t *topology.Torus, src, dst int, vol float64, dv *DeltaVec) {
-	if src == dst || vol == 0 {
-		return
-	}
-	sc := getScratch(t.NumDims())
-	defer putScratch(sc)
-	s, numCombos := sc.prepareFlow(t, src, dst)
-	comboVol := vol / float64(numCombos)
-	for mask := 0; mask < numCombos; mask++ {
-		sc.setCombo(mask)
-		s.applyDelta(t, sc.cs, sc.dirs, comboVol, dv, sc)
-	}
-	sc.flushStencil(a)
-}
-
-// applyDelta is stencil.apply depositing into a DeltaVec.
-func (s *stencil) applyDelta(t *topology.Torus, cs, dirs []int, vol float64, dv *DeltaVec, sc *scratch) {
-	nd := s.nd
-	tab := sc.ints(s.tabLen)
-	s.fillChanTab(t, cs, dirs, tab)
-	chanOff := sc.chanOff
-	for d := 0; d < nd; d++ {
-		chanOff[d] = 2*d + dirs[d]
-	}
-	ei := 0
-	for c := 0; c < s.cells; c++ {
-		base := c * nd
-		nodeCh := 0
-		for d := 0; d < nd; d++ {
-			nodeCh += tab[s.offs[base+d]]
-		}
-		for n := s.cnt[c]; n > 0; n-- {
-			dv.Add(nodeCh+chanOff[s.dims[ei]], s.fracs[ei]*vol)
-			ei++
-		}
 	}
 }

@@ -79,15 +79,16 @@ func TestDeltaVecSnapshotTranslate(t *testing.T) {
 	}
 }
 
-// TestAddLoadsDeltaBitwise asserts the core contract: for any flow, the
-// per-channel totals deposited by AddLoadsDelta are bit-identical (==, not
-// approximately equal) to the totals AddLoads deposits into a zeroed dense
-// vector. Covers wrap ties (torus distance exactly k/2), mesh dimensions,
-// and a 600-node ring whose longer flows exceed the stencil key's distance
-// bound, so the cache refuses their boxes. The "direct" arm runs first with
-// the cache's cell budget full, so every box the cache does not already
-// hold is routed by an uncached stencil; the "cached" arm then publishes
-// and reuses them.
+// TestAddLoadsDeltaBitwise asserts the core contract of the sparse sink:
+// for any flow, the per-channel totals DispTable.AddDelta deposits into a
+// DeltaVec are bit-identical (==, not approximately equal) to the totals
+// AddLoads deposits into a zeroed dense vector. Covers wrap ties (torus
+// distance exactly k/2), mesh dimensions, and a 600-node ring whose longer
+// flows exceed the stencil key's distance bound, so the cache refuses their
+// boxes. The "direct" arm runs first with the cache's cell budget full, so
+// every box the cache does not already hold is routed — and recorded into
+// the table — by an uncached stencil; the "cached" arm then publishes and
+// reuses them.
 func TestAddLoadsDeltaBitwise(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -108,6 +109,7 @@ func TestAddLoadsDeltaBitwise(t *testing.T) {
 		for _, sh := range shapes {
 			t.Run(arm+"/"+sh.name, func(t *testing.T) {
 				topo := sh.topo
+				dt := alg.DispTable(topo)
 				rng := rand.New(rand.NewSource(7))
 				n := topo.N()
 				dense := make([]float64, topo.NumChannels())
@@ -121,7 +123,7 @@ func TestAddLoadsDeltaBitwise(t *testing.T) {
 					}
 					alg.AddLoads(topo, src, dst, vol, dense)
 					dv.Reset()
-					alg.AddLoadsDelta(topo, src, dst, vol, dv)
+					dt.AddDelta(src, dst, vol, dv)
 
 					nz := 0
 					for ch, want := range dense {
@@ -150,8 +152,9 @@ func TestAddLoadsDeltaBitwise(t *testing.T) {
 
 // TestRefusedBoxNoAllocs pins that a box the cache refuses — a 600-node
 // ring flow over 280 hops, past the key's distance bound — is routed
-// through the scratch-owned stencil without allocating once warm, in both
-// sinks. The race detector makes sync.Pool drop entries, so the check runs
+// through the scratch-owned stencil without allocating once warm, and that
+// replaying its recorded deposits from a DispTable does not allocate
+// either. The race detector makes sync.Pool drop entries, so the check runs
 // only in normal builds.
 func TestRefusedBoxNoAllocs(t *testing.T) {
 	if raceEnabled {
@@ -164,11 +167,12 @@ func TestRefusedBoxNoAllocs(t *testing.T) {
 	alg := MinimalAdaptive{}
 	loads := make([]float64, tp.NumChannels())
 	dv := NewDeltaVec(tp.NumChannels())
+	dt := alg.DispTable(tp)
 	for name, fn := range map[string]func(){
 		"AddLoads": func() { alg.AddLoads(tp, 0, 280, 1, loads) },
-		"AddLoadsDelta": func() {
+		"AddDelta": func() {
 			dv.Reset()
-			alg.AddLoadsDelta(tp, 0, 280, 1, dv)
+			dt.AddDelta(0, 280, 1, dv)
 		},
 	} {
 		fn()
@@ -186,7 +190,7 @@ func TestAddLoadsDeltaTieEnumeration(t *testing.T) {
 	dense := make([]float64, topo.NumChannels())
 	alg.AddLoads(topo, 0, 2, 8, dense)
 	dv := NewDeltaVec(topo.NumChannels())
-	alg.AddLoadsDelta(topo, 0, 2, 8, dv)
+	alg.DispTable(topo).AddDelta(0, 2, 8, dv)
 	for ch, want := range dense {
 		if got := dv.Value(ch); got != want {
 			t.Fatalf("ch %d: delta %v dense %v", ch, got, want)
@@ -204,7 +208,7 @@ func TestAddLoadsDeltaTieEnumeration(t *testing.T) {
 // MaxOver(base, floor) bit for bit. A plain Reset tracks Max the same way.
 func TestDeltaVecPeakMatchesMaxOver(t *testing.T) {
 	topo := topology.NewTorus(4, 4, 4)
-	alg := MinimalAdaptive{}
+	dt := MinimalAdaptive{}.DispTable(topo)
 	rng := rand.New(rand.NewSource(11))
 	n := topo.N()
 	base := make([]float64, topo.NumChannels())
@@ -222,7 +226,7 @@ func TestDeltaVecPeakMatchesMaxOver(t *testing.T) {
 			}
 			var partial []float64
 			for f := 0; f < 12; f++ {
-				alg.AddLoadsDelta(topo, rng.Intn(n), rng.Intn(n), 1+rng.Float64()*9, dv)
+				dt.AddDelta(rng.Intn(n), rng.Intn(n), 1+rng.Float64()*9, dv)
 				partial = append(partial, dv.Peak())
 			}
 			want := dv.Max()

@@ -82,8 +82,8 @@ func (a MinimalAdaptive) AddLoads(t *topology.Torus, src, dst int, vol float64, 
 	sc.flushStencil(a)
 }
 
-// prepareFlow is the flow prelude shared by AddLoads, AddLoadsDelta and
-// PairTable, so their routing decisions cannot drift apart. It writes the
+// prepareFlow is the flow prelude shared by AddLoads, PairTable and
+// DispTable, so their routing decisions cannot drift apart. It writes the
 // endpoint coordinates of src→dst to sc.cs/sc.cd, the per-dimension minimal
 // direction choices to sc.dirs/sc.dists, and the tied dimensions to
 // sc.ties. Ties (torus distance exactly k/2) admit both directions; every

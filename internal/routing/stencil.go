@@ -13,8 +13,10 @@ package routing
 // of every flow is then routed by translating the cell offsets from the
 // flow's source coordinate and scaling by its volume. This turns the
 // per-flow DP (fill an O(box) flow array) into a linear walk over
-// precomputed fractions, which is what the Phase 3 merge scorers and the
-// annealing incremental evaluator spend most of their time in.
+// precomputed fractions. The annealing incremental evaluator routes every
+// flow this way; the Phase 3 merge scorers and the Phase 2 exhaustive
+// solver record each stencil walk once into a DispTable or PairTable and
+// replay it.
 //
 // Stencils are memoized in a process-wide cache bounded by maxStencilCells.
 // A box the cache cannot hold gets a stencil built for it alone, by the
@@ -102,7 +104,7 @@ var (
 
 // Cache telemetry. Hits and misses fire once per routed box — the hottest
 // counter in the process — so the per-box path increments plain ints on the
-// scratch and flushStencil drains them once per AddLoads/AddLoadsDelta call
+// scratch and flushStencil drains them once per AddLoads call or table build
 // through striped local handles (claimed in the pool's New func; sync.Pool's
 // per-P affinity spreads the stripes across CPUs). A hit is a box served by
 // a published stencil; a miss is a box served by an unpublished one (its key
@@ -154,9 +156,9 @@ func boxCells(dists []int) int64 {
 // Every path runs the same DP, so a box's deposits never depend on the
 // cache's state.
 //
-// Merge scoring routes millions of boxes drawn from a few hundred distinct
-// displacement vectors, so the interface-hashing sync.Map lookup is
-// measurable; the memo turns the common repeat into two array reads.
+// The annealing evaluator routes millions of boxes drawn from a few hundred
+// distinct displacement vectors, so the interface-hashing sync.Map lookup
+// is measurable; the memo turns the common repeat into two array reads.
 // Published stencils are immutable and never unpublished, so memo entries
 // cannot go stale.
 func (sc *scratch) stencilFor(dists []int) (*stencil, bool) {
@@ -344,8 +346,8 @@ func (s *stencil) appendDeposits(t *topology.Torus, cs, dirs []int, chs []int32,
 }
 
 // scratch holds the per-call working storage of MinimalAdaptive.AddLoads,
-// AddLoadsDelta and PairTable, recycled through a pool so the hot
-// evaluators (merge scorers, annealing swaps) do not allocate per flow.
+// PairTable and DispTable, recycled through a pool so the hot dense
+// evaluators (annealing swaps, greedy completion) do not allocate per flow.
 type scratch struct {
 	cs, cd, dirs, dists, ties []int
 	// shape, strides, u, tabOff and p are buildStencil's working storage;
@@ -360,9 +362,9 @@ type scratch struct {
 	// the process-wide sync.Map on repeat displacement vectors.
 	memoKey [stencilMemoSize]uint64
 	memoVal [stencilMemoSize]*stencil
-	// nhits/nmisses batch the cache accounting of one AddLoads or
-	// AddLoadsDelta call as plain ints; flushStencil drains them once per
-	// call into the striped handles below.
+	// nhits/nmisses batch the cache accounting of one AddLoads call or
+	// table build as plain ints; flushStencil drains them once per call
+	// into the striped handles below.
 	nhits, nmisses int64
 	// hits/misses are striped process-wide cache-counter handles, claimed
 	// once per scratch so the per-call flush adds without cross-CPU

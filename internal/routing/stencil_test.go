@@ -140,14 +140,14 @@ func TestStencilCacheFullBitwise(t *testing.T) {
 		t.Fatal("refused box not counted as a stencil-cache miss")
 	}
 	dv := NewDeltaVec(tp.NumChannels())
-	MinimalAdaptive{}.AddLoadsDelta(tp, src, dst, vol, dv)
+	MinimalAdaptive{}.DispTable(tp).AddDelta(src, dst, vol, dv)
 	differ := 0
 	for ch := range want {
 		if math.Float64bits(got[ch]) != math.Float64bits(want[ch]) {
 			differ++
 		}
 		if math.Float64bits(dv.Value(ch)) != math.Float64bits(got[ch]) {
-			t.Fatalf("channel %d: AddLoadsDelta %.17g, AddLoads %.17g", ch, dv.Value(ch), got[ch])
+			t.Fatalf("channel %d: AddDelta %.17g, AddLoads %.17g", ch, dv.Value(ch), got[ch])
 		}
 	}
 	if differ != 0 {

@@ -42,6 +42,7 @@ import (
 
 	"rahtm"
 	"rahtm/internal/telemetry"
+	"rahtm/internal/workerpanic"
 )
 
 // Per-request counters on the process-wide registry. Serving is not a hot
@@ -316,12 +317,18 @@ func (p *solvePanic) Error() string { return fmt.Sprintf("solver panic: %v", p.v
 // job's telemetry scope and span recorder on the context so the solver
 // layers attribute their counters and spans to this request. A panic on
 // the solving goroutine becomes a *solvePanic job error, so one faulty
-// mapper cannot take the daemon down.
+// mapper cannot take the daemon down. The solver's worker pools re-raise a
+// worker's panic here as a *workerpanic.Panic; the job error then carries
+// the worker's value and stack rather than the re-raise point's.
 func (s *Server) solve(j *job) (res *rahtm.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			ctrPanics.Inc()
-			res, err = nil, &solvePanic{value: v, stack: debug.Stack()}
+			p := &solvePanic{value: v, stack: debug.Stack()}
+			if wp, ok := v.(*workerpanic.Panic); ok {
+				p.value, p.stack = wp.Value, wp.Stack
+			}
+			res, err = nil, p
 		}
 		if err != nil {
 			ctrErrors.Inc()

@@ -14,6 +14,7 @@ import (
 
 	"rahtm"
 	"rahtm/internal/telemetry"
+	"rahtm/internal/workerpanic"
 )
 
 // newTestServer builds a Server plus an httptest front end.
@@ -579,6 +580,28 @@ func (panicMapper) MapProcs(*rahtm.Workload, *rahtm.Torus, int) (rahtm.Mapping, 
 	panic("mapper exploded")
 }
 
+// workerPanicMapper panics on a worker goroutine of its own pool, which
+// re-raises the panic on the solving goroutine as the solver's pools do.
+type workerPanicMapper struct{}
+
+func (workerPanicMapper) Name() string { return "worker-panic" }
+
+func (workerPanicMapper) MapProcs(*rahtm.Workload, *rahtm.Torus, int) (rahtm.Mapping, error) {
+	var panics workerpanic.Slot
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer panics.Catch()
+		explodeOnWorker()
+	}()
+	wg.Wait()
+	panics.Rethrow()
+	return nil, nil
+}
+
+func explodeOnWorker() { panic("worker exploded") }
+
 // lockedBuffer is a log sink safe for the concurrent writes of the handler
 // and worker goroutines.
 type lockedBuffer struct {
@@ -626,5 +649,29 @@ func TestSolverPanicContained(t *testing.T) {
 	}
 	if res := decodeResult(t, body); len(res.Mapping) != 16 {
 		t.Fatalf("request after the panic: mapping covers %d processes, want 16", len(res.Mapping))
+	}
+}
+
+// TestSolverWorkerPanicContained: a panic on a solver worker goroutine,
+// re-raised on the solving goroutine, costs its request a 500 naming the
+// worker's panic value, and the solve log carries the worker's stack; the
+// daemon answers the next request correctly.
+func TestSolverWorkerPanicContained(t *testing.T) {
+	rahtm.RegisterMapper("serve-worker-panic", func(*rahtm.Torus) rahtm.ProcMapper { return workerPanicMapper{} })
+	logs := &lockedBuffer{}
+	_, ts := newTestServer(t, Config{Workers: 1, Logger: slog.New(slog.NewTextHandler(logs, nil))})
+	resp, body := postSolve(t, ts.URL, `{"workload":"BT","topo":[4,4],"mapper":"serve-worker-panic"}`)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500; body %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "solver panic: worker exploded") {
+		t.Errorf("error body %s does not name the worker's panic", body)
+	}
+	if l := logs.String(); !strings.Contains(l, "explodeOnWorker") {
+		t.Errorf("solve log line does not carry the worker's stack:\n%s", l)
+	}
+	resp, body = postSolve(t, ts.URL, cgRequest)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the panic: status %d, body %s", resp.StatusCode, body)
 	}
 }
